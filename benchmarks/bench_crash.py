@@ -20,9 +20,9 @@ CPU contention + link chaos) and checks that service degraded strictly
 in hierarchy order (ash → upcall → ring → drop): the transfer must
 complete byte-identically with zero ``degradation.order_violations``.
 
-Every point runs on both simulation substrates under the same seeded
-schedule and must be bit-identical.  Results land in
-``BENCH_crash.json`` at the repo root; ``--quick`` shrinks the sweep.
+Every point runs once under a seeded schedule, so reruns reproduce it
+exactly.  Results land in ``BENCH_crash.json`` at the repo root;
+``--quick`` shrinks the sweep.
 """
 
 from __future__ import annotations
@@ -39,19 +39,18 @@ sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)),
 
 from repro.bench.testbed import make_an2_pair                    # noqa: E402
 from repro.net.socket_api import make_stacks, tcp_pair           # noqa: E402
-from repro.sim.engine import Engine                              # noqa: E402
 
 SEED = 42
 
 
-def crash_transfer(substrate: str, nbytes: int, mode: str = None,
+def crash_transfer(nbytes: int, mode: str = None,
                    crash_at_us: float = None, outage_us: float = 500.0,
                    pressure: dict = None, contention: dict = None,
                    knobs: dict = None) -> dict:
     """One bulk transfer with an optional scripted server crash plus
     optional pressure/contention/link seams; returns every
-    substrate-invariant observable of the run."""
-    tb = make_an2_pair(engine=Engine(substrate=substrate))
+    observable of the run."""
+    tb = make_an2_pair()
     cstack, sstack = make_stacks(tb)
     client, server = tcp_pair(cstack, sstack, rto_us=20_000.0)
     plane = tb.attach_fault_plane(seed=SEED)
@@ -89,7 +88,7 @@ def crash_transfer(substrate: str, nbytes: int, mode: str = None,
     tb.run()
     if not got or got[0] != data:
         raise RuntimeError(
-            f"crash@{crash_at_us}/{outage_us}us ({substrate}): "
+            f"crash@{crash_at_us}/{outage_us}us: "
             "transfer corrupted or incomplete"
         )
     sk, ck = tb.server_kernel, tb.client_kernel
@@ -117,12 +116,6 @@ def crash_transfer(substrate: str, nbytes: int, mode: str = None,
     }
 
 
-def both(point_kwargs: dict, nbytes: int) -> tuple[dict, bool]:
-    fast = crash_transfer("fast", nbytes, **point_kwargs)
-    legacy = crash_transfer("legacy", nbytes, **point_kwargs)
-    return fast, fast == legacy
-
-
 def bench(quick: bool) -> dict:
     nbytes = 48_000 if quick else 128_000
     # in ring mode a 48 KB transfer runs tens of ms; crash early enough
@@ -143,10 +136,7 @@ def bench(quick: bool) -> dict:
         "seed": SEED,
         "transfer_bytes": nbytes,
     }
-    all_identical = True
-
-    baseline, ident = both({}, nbytes)
-    all_identical &= ident
+    baseline = crash_transfer(nbytes)
     out["baseline"] = baseline
     print(f"baseline ({nbytes} B, no crash): "
           f"{baseline['goodput_mbps']:8.2f} Mb/s")
@@ -154,10 +144,9 @@ def bench(quick: bool) -> dict:
     print(f"recovery-time vs outage (crash at {crash_at} us):")
     curve = []
     for outage in outages:
-        point, ident = both(
-            dict(crash_at_us=crash_at, outage_us=outage), nbytes)
-        all_identical &= ident
-        point.update(outage_us=outage, identical=ident,
+        point = crash_transfer(nbytes, crash_at_us=crash_at,
+                               outage_us=outage)
+        point.update(outage_us=outage,
                      goodput_vs_baseline=round(
                          point["goodput_mbps"]
                          / baseline["goodput_mbps"], 4))
@@ -165,48 +154,41 @@ def bench(quick: bool) -> dict:
         print(f"  outage={outage:<8g} recovery={point['recovery_us']!s:>10}us"
               f"  goodput={point['goodput_mbps']:8.2f} Mb/s "
               f"({point['goodput_vs_baseline']:.0%} of baseline) "
-              f"lost={point['lost_in_crash']}"
-              f"{'' if ident else '  SUBSTRATES DIVERGE!'}")
+              f"lost={point['lost_in_crash']}")
     out["recovery_vs_outage"] = curve
 
     print("goodput dip vs crash time (5 ms outage):")
     curve = []
     for at in crash_times:
-        point, ident = both(
-            dict(crash_at_us=at, outage_us=5_000.0), nbytes)
-        all_identical &= ident
-        point.update(crash_at_us=at, identical=ident,
+        point = crash_transfer(nbytes, crash_at_us=at, outage_us=5_000.0)
+        point.update(crash_at_us=at,
                      goodput_vs_baseline=round(
                          point["goodput_mbps"]
                          / baseline["goodput_mbps"], 4))
         curve.append(point)
         print(f"  crash_at={at:<8g} goodput={point['goodput_mbps']:8.2f} "
               f"Mb/s ({point['goodput_vs_baseline']:.0%}) "
-              f"rexmit={point['retransmits']}"
-              f"{'' if ident else '  SUBSTRATES DIVERGE!'}")
+              f"rexmit={point['retransmits']}")
     out["goodput_vs_crash_time"] = curve
 
     print("combined-fault degradation sweep (all seams on):")
     combined = []
     zero_violations = True
     for mode in modes:
-        point, ident = both(dict(
-            mode=mode, crash_at_us=crash_at, outage_us=5_000.0,
+        point = crash_transfer(
+            nbytes, mode=mode, crash_at_us=crash_at, outage_us=5_000.0,
             pressure=dict(rate=0.1, sites=("rx_refill", "ash_install")),
             contention=dict(rate=0.1, burst_cycles=1_000, budget_rate=0.2),
             knobs=dict(drop=0.02, corrupt=0.02),
-        ), nbytes)
-        all_identical &= ident
+        )
         zero_violations &= point["order_violations"] == 0
-        point.update(mode=mode or "ring", identical=ident)
+        point.update(mode=mode or "ring")
         combined.append(point)
         print(f"  mode={mode or 'ring':7s} outcomes={point['delivery_outcomes']} "
-              f"violations={point['order_violations']}"
-              f"{'' if ident else '  SUBSTRATES DIVERGE!'}")
+              f"violations={point['order_violations']}")
     out["combined_degradation"] = combined
 
     out["summary"] = {
-        "all_identical": all_identical,
         "zero_order_violations": zero_violations,
         "every_crash_recovered": all(
             p["recoveries"] == 1
@@ -237,10 +219,6 @@ def main(argv=None) -> int:
         json.dump(out, fh, indent=2, sort_keys=True)
         fh.write("\n")
     print(f"\nwrote {os.path.normpath(path)}")
-    if not out["summary"]["all_identical"]:
-        print("ERROR: substrates disagree under an identical fault schedule",
-              file=sys.stderr)
-        return 1
     if not out["summary"]["zero_order_violations"]:
         print("ERROR: a delivery skipped a hierarchy level out of order",
               file=sys.stderr)

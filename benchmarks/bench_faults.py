@@ -4,10 +4,10 @@
 Sweeps the FaultPlane's link impairments (drop, corrupt, duplicate,
 reorder) over a rate grid and measures TCP bulk-transfer goodput at
 each point — the degradation curves a transport should show: graceful
-goodput loss, never corruption or a hang.  Every point runs on both
-simulation substrates under the *same seeded fault schedule*; the
-delivered-byte digest, retransmit counters, virtual completion time and
-the plane's fault ledger must be bit-identical (``identical``).
+goodput loss, never corruption or a hang.  Every point runs under a
+seeded fault schedule, so a rerun reproduces the delivered-byte digest,
+retransmit counters, virtual completion time and the plane's fault
+ledger exactly.
 
 A second section forces mid-handler ASH aborts on the Table V
 remote-increment workload and checks the zero-loss degradation
@@ -45,17 +45,16 @@ from repro.bench.testbed import (                                # noqa: E402
 from repro.hw.link import Frame                                  # noqa: E402
 from repro.kernel.upcall import UpcallHandler                    # noqa: E402
 from repro.net.socket_api import make_stacks, tcp_pair           # noqa: E402
-from repro.sim.engine import Engine                              # noqa: E402
 
 IMPAIRMENTS = ("drop", "corrupt", "duplicate", "reorder")
 SEED = 42
 
 
-def lossy_transfer(substrate: str, kind: str, rate: float,
+def lossy_transfer(kind: str, rate: float,
                    nbytes: int, sack: bool = True) -> dict:
     """One bulk transfer under a single impairment knob; returns every
-    substrate-invariant observable of the run."""
-    tb = make_an2_pair(engine=Engine(substrate=substrate))
+    observable of the run."""
+    tb = make_an2_pair()
     cstack, sstack = make_stacks(tb)
     client, server = tcp_pair(cstack, sstack, rto_us=20_000.0, sack=sack)
     plane = tb.attach_fault_plane(seed=SEED)
@@ -87,7 +86,7 @@ def lossy_transfer(substrate: str, kind: str, rate: float,
     tb.run()
     if not got or got[0] != data:
         raise RuntimeError(
-            f"{kind}@{rate} ({substrate}): transfer corrupted or incomplete"
+            f"{kind}@{rate}: transfer corrupted or incomplete"
         )
     elapsed_ps = elapsed[0]
     return {
@@ -121,8 +120,8 @@ def sack_ablation(rates: list[float], nbytes: int) -> dict:
         for rate in rates:
             if not rate:
                 continue
-            on = lossy_transfer("fast", kind, rate, nbytes, sack=True)
-            off = lossy_transfer("fast", kind, rate, nbytes, sack=False)
+            on = lossy_transfer(kind, rate, nbytes, sack=True)
+            off = lossy_transfer(kind, rate, nbytes, sack=False)
             ratio = round(on["goodput_mbps"] / off["goodput_mbps"], 3)
             points.append({
                 "rate": rate,
@@ -138,33 +137,26 @@ def sack_ablation(rates: list[float], nbytes: int) -> dict:
     return out
 
 
-def sweep_curves(rates: list[float], nbytes: int) -> tuple[dict, bool]:
+def sweep_curves(rates: list[float], nbytes: int) -> dict:
     curves: dict = {}
-    all_identical = True
     for kind in IMPAIRMENTS:
         points = []
         for rate in rates:
-            fast = lossy_transfer("fast", kind, rate, nbytes)
-            legacy = lossy_transfer("legacy", kind, rate, nbytes)
-            identical = fast == legacy
-            all_identical &= identical
-            point = dict(fast)
+            point = lossy_transfer(kind, rate, nbytes)
             point["rate"] = rate
-            point["identical"] = identical
             points.append(point)
             print(f"  {kind:10s} rate={rate:<5g} "
                   f"goodput={point['goodput_mbps']:8.2f} Mb/s  "
                   f"injected={point['injected']:<4d} "
-                  f"rexmit={point['retransmits']:<3d}"
-                  f"{'' if identical else '  SUBSTRATES DIVERGE!'}")
+                  f"rexmit={point['retransmits']:<3d}")
         curves[kind] = points
-    return curves, all_identical
+    return curves
 
 
-def ash_abort_demo(substrate: str, messages: int) -> dict:
+def ash_abort_demo(messages: int) -> dict:
     """Forced mid-handler aborts on remote-increment: zero message loss
     through the upcall fallback."""
-    tb = make_an2_pair(engine=Engine(substrate=substrate))
+    tb = make_an2_pair()
     sk, ck = tb.server_kernel, tb.client_kernel
     srv_ep = sk.create_endpoint_an2(tb.server_nic, CLIENT_TO_SERVER_VCI)
     cli_ep = ck.create_endpoint_an2(tb.client_nic, SERVER_TO_CLIENT_VCI)
@@ -212,9 +204,6 @@ def ash_abort_demo(substrate: str, messages: int) -> dict:
         "expected": sum(values),
         "replies": len(replies),
         "zero_loss": counter == sum(values) and len(replies) == messages,
-        # informational only, excluded from the identity check: dead
-        # timer pops can advance the end-of-run clock differently per
-        # substrate (see bench_scale's digest note)
         "virtual_ns": tb.engine.now / 1000,
     }
 
@@ -241,28 +230,21 @@ def bench(quick: bool) -> dict:
     }
     print(f"goodput-vs-impairment curves ({nbytes} B transfers, "
           f"seed {SEED}):")
-    curves, curves_identical = sweep_curves(rates, nbytes)
+    curves = sweep_curves(rates, nbytes)
     out["curves"] = curves
 
     out["sack_ablation"] = sack_ablation(rates, nbytes)
 
-    fast_demo = ash_abort_demo("fast", messages)
-    legacy_demo = ash_abort_demo("legacy", messages)
-    demo_identical = (
-        {k: v for k, v in fast_demo.items() if k != "virtual_ns"}
-        == {k: v for k, v in legacy_demo.items() if k != "virtual_ns"}
-    )
-    out["ash_abort"] = dict(fast_demo, identical=demo_identical)
-    print(f"  ash abort: {fast_demo['aborts_forced']}/{messages} deliveries "
-          f"aborted mid-handler, counter {fast_demo['counter']}"
-          f"/{fast_demo['expected']}, "
-          f"{fast_demo['upcall_fallbacks']} upcall fallbacks, "
-          f"zero_loss={fast_demo['zero_loss']}"
-          f"{'' if demo_identical else '  SUBSTRATES DIVERGE!'}")
+    demo = ash_abort_demo(messages)
+    out["ash_abort"] = demo
+    print(f"  ash abort: {demo['aborts_forced']}/{messages} deliveries "
+          f"aborted mid-handler, counter {demo['counter']}"
+          f"/{demo['expected']}, "
+          f"{demo['upcall_fallbacks']} upcall fallbacks, "
+          f"zero_loss={demo['zero_loss']}")
 
     out["summary"] = {
-        "all_identical": curves_identical and demo_identical,
-        "zero_loss_under_abort": fast_demo["zero_loss"],
+        "zero_loss_under_abort": demo["zero_loss"],
         "goodput_retained_at_max_rate": {
             kind: round(points[-1]["goodput_mbps"]
                         / points[0]["goodput_mbps"], 3)
@@ -289,10 +271,6 @@ def main(argv=None) -> int:
         json.dump(out, fh, indent=2, sort_keys=True)
         fh.write("\n")
     print(f"\nwrote {os.path.normpath(path)}")
-    if not out["summary"]["all_identical"]:
-        print("ERROR: substrates disagree under an identical fault schedule",
-              file=sys.stderr)
-        return 1
     if not out["summary"]["zero_loss_under_abort"]:
         print("ERROR: messages lost across forced ASH aborts",
               file=sys.stderr)

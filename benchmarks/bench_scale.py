@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Macro scale benchmark: N-pair, M-flow, C-core worlds on both substrates.
+"""Macro scale benchmark: N-pair, M-flow, C-core worlds on one engine.
 
 Two kinds of numbers come out of one run:
 
@@ -10,19 +10,16 @@ Two kinds of numbers come out of one run:
   gated by ``check_bench_trend.py``.  The multicore payoff is measured
   here: the largest configuration is swept across 1/2/4 cores and the
   per-core curve must stay near-linear (see ``summary.core_sweep``).
-* **Wall-clock metrics** — elapsed host seconds and events/sec for the
-  legacy (heapq + bytes + scalar cache) and fast (calendar queue +
-  vectorized cache + zero-copy packet path) substrates, plus the
-  speedup.  These track the overhead of the reproduction itself and
-  are excluded from the trend gate.
+* **Wall-clock metrics** — elapsed host seconds, events/sec and
+  packets/sec of each world (under the ``fast`` key: the calendar-queue
+  engine with the vectorized cache and zero-copy packet path).  These
+  track the overhead of the reproduction itself and are excluded from
+  the trend gate.
 
-The fast substrate must never change the model: every workload-visible
-observable (round-trip times, completion time, cache hits/misses,
-interrupt and frame counts) is digested per substrate and the digests
-must match exactly (``cycles_identical``) — including under SMP, where
-RSS steering and per-core rings reorder work across cores but the
-deterministic hash and per-core event ordering keep both substrates in
-lockstep.
+The world's workload-visible observables (round-trip times, completion
+time, cache hits/misses, interrupt, frame and RSS steering counts) come
+from :meth:`ScaleWorld.observables`; ``tests/golden/scale.json`` pins
+their digest, and the engine's dispatch ledger, for the tier-1 worlds.
 
 The world: N independent AN2 node pairs share one simulated engine;
 each pair carries M concurrent flows cycling through three kinds:
@@ -42,7 +39,6 @@ under ``cli`` so sweeps are reproducible without editing this file).
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import os
 import sys
@@ -87,13 +83,13 @@ MAX_OVERFLOW_SPILLS = 50
 
 
 class ScaleWorld:
-    """N AN2 pairs x M flows on one engine of the given substrate."""
+    """N AN2 pairs x M flows on one engine."""
 
-    def __init__(self, substrate: str, pairs: int, flows: int,
+    def __init__(self, pairs: int, flows: int,
                  rounds: int, size: int, cores: int = 1,
                  batch: int | None = None,
                  mem_size: int = 16 * 1024 * 1024):
-        self.engine = Engine(substrate=substrate)
+        self.engine = Engine()
         self.pairs = pairs
         self.flows = flows
         self.rounds = rounds
@@ -101,10 +97,7 @@ class ScaleWorld:
         self.cores = cores
         self.done: list[bool] = []
         self.rt_ps: list[list[int]] = []  #: per-flow round-trip times
-        #: simulated completion time of the last flow (ps).  Workload-
-        #: visible, so substrate-invariant and part of the digest (the
-        #: engine's own clock is not: legacy tombstone pops may advance
-        #: it past the last real event).
+        #: simulated completion time of the last flow (ps)
         self.finish_ps = 0
         self.testbeds = []
         for i in range(pairs):
@@ -254,21 +247,20 @@ class ScaleWorld:
         if not all(self.done):
             raise RuntimeError(
                 f"scale world stalled: {self.done.count(False)} flows "
-                f"unfinished (substrate={self.engine.substrate}, "
-                f"cores={self.cores})"
+                f"unfinished (cores={self.cores})"
             )
         return wall
 
-    def digest(self) -> str:
-        """Hash of every substrate-invariant observable.
+    def observables(self) -> dict:
+        """Every workload-visible observable of the finished world.
 
         Round-trip times and the completion stamp are simulated
         durations recorded inside the workloads; cache/interrupt/frame
         counters and per-core RSS steering counts are model state.  The
-        engine's own clock/stats are deliberately excluded — tombstone
-        pops may advance the legacy clock past the last real event.
+        engine's dispatch ledger is not a workload observable; the
+        goldens pin it next to their digest.
         """
-        obs = {
+        return {
             "rt_ps": self.rt_ps,
             "finish_ps": self.finish_ps,
             "nodes": [
@@ -286,8 +278,7 @@ class ScaleWorld:
                 for node in (tb.client, tb.server)
             ],
         }
-        blob = json.dumps(obs, sort_keys=True).encode()
-        return hashlib.sha256(blob).hexdigest()
+
 
     def packets(self) -> int:
         return sum(
@@ -299,40 +290,31 @@ class ScaleWorld:
 
 
 def run_config(cfg: dict) -> dict:
-    """One configuration on both substrates.
-
-    Wall-clock numbers are best-of-``reps`` with reps interleaved
-    legacy/fast so background machine load hits both sides equally;
-    simulated metrics are rep-invariant by construction.
-    """
-    best: dict[str, dict] = {}
+    """One configuration, best-of-``reps`` wall clock; simulated
+    metrics are rep-invariant by construction."""
+    best: dict | None = None
     for _ in range(cfg["reps"]):
-        for substrate in ("legacy", "fast"):
-            world = ScaleWorld(substrate, cfg["pairs"], cfg["flows"],
-                               cfg["rounds"], cfg["size"],
-                               cores=cfg["cores"], batch=cfg["batch"],
-                               mem_size=cfg["mem_size"])
-            wall = world.run()
-            cur = best.get(substrate)
-            if cur is None or wall < cur["wall_s"]:
-                stats = world.engine.stats()
-                best[substrate] = {
-                    "wall_s": wall,
-                    "events": stats["fired"],
-                    "events_per_sec": stats["fired"] / wall,
-                    "packets": world.packets(),
-                    "packets_per_sec": world.packets() / wall,
-                    "digest": world.digest(),
-                    "finish_ps": world.finish_ps,
-                    "queue": stats["queue"],
-                    "cancelled": stats["cancelled"],
-                }
+        world = ScaleWorld(cfg["pairs"], cfg["flows"],
+                           cfg["rounds"], cfg["size"],
+                           cores=cfg["cores"], batch=cfg["batch"],
+                           mem_size=cfg["mem_size"])
+        wall = world.run()
+        if best is None or wall < best["wall_s"]:
+            stats = world.engine.stats()
+            best = {
+                "wall_s": wall,
+                "events": stats["fired"],
+                "events_per_sec": stats["fired"] / wall,
+                "packets": world.packets(),
+                "packets_per_sec": world.packets() / wall,
+                "finish_ps": world.finish_ps,
+                "queue": stats["queue"],
+                "cancelled": stats["cancelled"],
+            }
     return best
 
 
-def _entry(cfg: dict, best: dict) -> dict:
-    legacy, fast = best["legacy"], best["fast"]
-    identical = legacy["digest"] == fast["digest"]
+def _entry(cfg: dict, fast: dict) -> dict:
     # the calendar queue must not accumulate dead events: every
     # tombstone created by a heap-resident cancel is popped by the
     # time the world drains (wheel-resident cancels are removed
@@ -357,13 +339,8 @@ def _entry(cfg: dict, best: dict) -> dict:
         "events_per_sim_s": round(eps, 1),
         "events_per_sim_s_per_core": round(eps / cfg["cores"], 1),
         "overflow_spills": fast["queue"].get("overflow_spills", 0),
-        "cycles_identical": identical,
         # -- wall-clock metrics (host-dependent, trend-exempt)
-        "legacy": {k: v for k, v in legacy.items()
-                   if k not in ("digest", "finish_ps")},
-        "fast": {k: v for k, v in fast.items()
-                 if k not in ("digest", "finish_ps")},
-        "speedup": round(legacy["wall_s"] / fast["wall_s"], 2),
+        "fast": {k: v for k, v in fast.items() if k != "finish_ps"},
     }
 
 
@@ -418,15 +395,8 @@ def bench(quick: bool, cli_cfg: dict | None = None) -> dict:
               f"rounds={entry['rounds']} size={entry['payload_bytes']}B "
               f"cores={entry['cores']}  sim {entry['sim_elapsed_us']:.0f}us  "
               f"eps {entry['events_per_sim_s']:.2e}  "
-              f"legacy {entry['legacy']['wall_s']:.3f}s  "
-              f"fast {entry['fast']['wall_s']:.3f}s  "
-              f"speedup {entry['speedup']:.2f}x"
-              f"{'' if entry['cycles_identical'] else '  OBSERVABLES DIVERGE!'}")
-    out["summary"] = {
-        "all_cycles_identical": all(
-            c["cycles_identical"] for c in out["configs"]
-        ),
-    }
+              f"wall {entry['fast']['wall_s']:.3f}s")
+    out["summary"] = {}
     if sweep:
         base = sweep[0]
         curve = {
@@ -505,10 +475,6 @@ def main(argv=None) -> int:
         json.dump(out, fh, indent=2, sort_keys=True)
         fh.write("\n")
     print(f"\nwrote {os.path.normpath(path)}")
-    if not out["summary"]["all_cycles_identical"]:
-        print("ERROR: substrates disagree on simulated observables",
-              file=sys.stderr)
-        return 1
     return 0
 
 

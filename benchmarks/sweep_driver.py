@@ -1,9 +1,9 @@
 #!/usr/bin/env python3
-"""Unified chaos-sweep driver: workload × fault-scenario × substrate.
+"""Unified chaos-sweep driver: workload × fault-scenario.
 
 One driver runs every live-operations scenario the crash plane promises
-to survive, on both simulation substrates, and emits a single
-schema-validated ``BENCH_liveops.json`` gated by
+to survive and emits a single schema-validated ``BENCH_liveops.json``
+gated by
 ``check_bench_trend.py``.  The grid closes the crash-plane gaps the
 earlier benches left open:
 
@@ -24,8 +24,8 @@ earlier benches left open:
 The canary-rollout workload rides the same grid: a digest-divergent v2
 must roll back (also with a mid-canary server crash — the rollout's
 bindings ride the boot-record replay), an identical v2 must promote
-even under link jitter, and every cell must be bit-identical across
-substrates with zero lost messages and zero order violations.
+even under link jitter, and every cell must finish with zero lost
+messages and zero order violations.
 
 The multi-tenant workload rides the grid too: a two-tenant
 noisy-neighbor cell (victim bulk transfer vs. an admission-clipped
@@ -34,10 +34,12 @@ must keep at least ``ISOLATION_BOUND_RATIO`` of its solo goodput and
 deliver a bit-identical payload, asserted per cell like the recovery
 bounds.
 
-``--smoke`` runs a small corner of the grid (one crash scenario per
-crashable workload, the two-tenant cell, both substrates) — wired into
-tier 1 via ``tests/test_sweep_driver.py``, writing outside the repo
-root so the committed full-grid baseline is untouched.
+Every cell records ``digest``, the sha256 of its canonical observables
+JSON.  ``--smoke`` runs a small corner of the grid (one crash scenario
+per crashable workload, plus the two-tenant cell) — wired into tier 1
+via ``tests/test_sweep_driver.py``, which checks each cell's digest
+against ``tests/golden/sweep_smoke.json``; smoke runs write outside the
+repo root so the committed full-grid baseline is untouched.
 """
 
 from __future__ import annotations
@@ -57,7 +59,6 @@ from repro.bench.testbed import make_an2_pair                    # noqa: E402
 from repro.bench.workloads import (canary_rollout,               # noqa: E402
                                    tenant_noisy_neighbor)
 from repro.net.socket_api import make_stacks, tcp_pair           # noqa: E402
-from repro.sim.engine import Engine                              # noqa: E402
 
 SCHEMA = "repro-liveops-sweep"
 SCHEMA_VERSION = 1
@@ -87,14 +88,14 @@ ISOLATION_BOUND_RATIO = {
 
 
 # ---------------------------------------------------------------------------
-# workload runners (one cell = one substrate run)
+# workload runners (one run per cell)
 # ---------------------------------------------------------------------------
 
-def run_tcp_bulk(substrate: str, nbytes: int, crash: dict = None,
+def run_tcp_bulk(nbytes: int, crash: dict = None,
                  knobs: dict = None) -> dict:
     """One TCP bulk transfer with an optional scripted crash (on either
     node, possibly a storm) and optional link chaos."""
-    tb = make_an2_pair(engine=Engine(substrate=substrate))
+    tb = make_an2_pair()
     cstack, sstack = make_stacks(tb)
     client, server = tcp_pair(cstack, sstack, rto_us=20_000.0)
     plane = tb.attach_fault_plane(seed=SEED)
@@ -130,7 +131,7 @@ def run_tcp_bulk(substrate: str, nbytes: int, crash: dict = None,
     tb.run()
     if not got or got[0] != data:
         raise RuntimeError(
-            f"tcp_bulk({substrate}): transfer corrupted or incomplete")
+            "tcp_bulk: transfer corrupted or incomplete")
     sk, ck = tb.server_kernel, tb.client_kernel
     recoveries_us = []
     if crashed_kernel is not None:
@@ -157,7 +158,7 @@ def run_tcp_bulk(substrate: str, nbytes: int, crash: dict = None,
     }
 
 
-def run_canary(substrate: str, v2: str, crash: bool = False,
+def run_canary(v2: str, crash: bool = False,
                jitter_us: float = None) -> dict:
     scenario = None
     if jitter_us is not None:
@@ -165,19 +166,19 @@ def run_canary(substrate: str, v2: str, crash: bool = False,
             return [{"site": "link", "target": tb.link,
                      "delay_jitter_us": jitter_us}]
     return canary_rollout(
-        substrate=substrate, v2=v2, crash_during_canary=crash,
+        v2=v2, crash_during_canary=crash,
         scenario=scenario, fault_seed=SEED,
     )
 
 
-def run_tenant(substrate: str, intensity_fps: int, total_kb: int) -> dict:
+def run_tenant(intensity_fps: int, total_kb: int) -> dict:
     """One protected two-tenant noisy-neighbor cell: the victim bulk
     transfer contended by an admission-clipped aggressor, plus the solo
     run that anchors the isolation ratio."""
-    solo = tenant_noisy_neighbor(substrate=substrate, intensity_fps=0,
+    solo = tenant_noisy_neighbor(intensity_fps=0,
                                  protected=True, total_kb=total_kb)
     contended = tenant_noisy_neighbor(
-        substrate=substrate, intensity_fps=intensity_fps,
+        intensity_fps=intensity_fps,
         protected=True, total_kb=total_kb)
     out = dict(contended)
     out["solo_goodput_mbps"] = solo["goodput_mbps"]
@@ -230,7 +231,7 @@ def grid_cells(smoke: bool, nbytes: int) -> list[dict]:
     ]
     if smoke:
         # the smoke corner: one crash scenario per crashable workload,
-        # plus the two-tenant cell, on both substrates
+        # plus the two-tenant cell
         tcp = [c for c in tcp if c["scenario"] in ("none", "client_crash")]
         canary = [c for c in canary
                   if c["scenario"] in ("none", "server_crash")]
@@ -239,36 +240,41 @@ def grid_cells(smoke: bool, nbytes: int) -> list[dict]:
     return tcp + canary + tenant
 
 
+def observables_digest(obs: dict) -> str:
+    """sha256 of a cell's canonical observables JSON."""
+    return hashlib.sha256(
+        json.dumps(obs, sort_keys=True).encode()).hexdigest()
+
+
 def run_cell(cell: dict) -> dict:
-    """Run one grid cell on both substrates; returns the cell record."""
+    """Run one grid cell; returns the cell record."""
     runner = {"tcp_bulk": run_tcp_bulk, "canary": run_canary,
               "tenant": run_tenant}[cell["workload"]]
-    fast = runner("fast", **cell["kwargs"])
-    legacy = runner("legacy", **cell["kwargs"])
+    obs = runner(**cell["kwargs"])
     record = {
         "workload": cell["workload"],
         "scenario": cell["scenario"],
-        "identical": fast == legacy,
-        "observables": fast,
+        "digest": observables_digest(obs),
+        "observables": obs,
     }
     if "expect_state" in cell:
         record["expect_state"] = cell["expect_state"]
-        record["state_ok"] = fast.get("state") == cell["expect_state"]
+        record["state_ok"] = obs.get("state") == cell["expect_state"]
     if cell.get("expect_recovered"):
-        record["recovered"] = bool(fast.get("recoveries"))
+        record["recovered"] = bool(obs.get("recoveries"))
         bound = RECOVERY_BOUND_US.get(
             f"{cell['workload']}/{cell['scenario']}")
         if bound is not None:
             record["recovery_bound_us"] = bound
             record["recovery_within_bound"] = (
-                fast.get("recovery_us") is not None
-                and fast["recovery_us"] <= bound)
+                obs.get("recovery_us") is not None
+                and obs["recovery_us"] <= bound)
     if cell.get("expect_isolated"):
         bound = ISOLATION_BOUND_RATIO[
             f"{cell['workload']}/{cell['scenario']}"]
         record["isolation_bound"] = bound
         record["isolation_within_bound"] = (
-            fast["victim_intact"] and fast["isolation_ratio"] >= bound)
+            obs["victim_intact"] and obs["isolation_ratio"] >= bound)
     return record
 
 
@@ -300,7 +306,7 @@ def bench(smoke: bool) -> dict:
                 f"{'' if record['isolation_within_bound'] else ' (BROKEN)'}")
         print(f"  {record['workload']:>9s} × {record['scenario']:<16s} "
               f"ov={obs['order_violations']} "
-              f"{'identical' if record['identical'] else 'DIVERGED'} "
+              f"digest={record['digest'][:12]} "
               + " ".join(extras))
 
     recovery_bounds = {}
@@ -316,7 +322,6 @@ def bench(smoke: bool) -> dict:
             isolation_ratios[key] = obs["isolation_ratio"]
     out["summary"] = {
         "cells": len(out["grid"]),
-        "all_identical": all(r["identical"] for r in out["grid"]),
         "zero_order_violations": all(
             r["observables"]["order_violations"] == 0 for r in out["grid"]),
         "all_rollouts_correct": all(
@@ -352,7 +357,7 @@ def validate_doc(doc: dict) -> list[str]:
         return errors
     for i, record in enumerate(doc["grid"]):
         where = f"grid[{i}]"
-        for key in ("workload", "scenario", "identical", "observables"):
+        for key in ("workload", "scenario", "digest", "observables"):
             if key not in record:
                 errors.append(f"{where}: missing {key}")
         obs = record.get("observables", {})
@@ -371,7 +376,7 @@ def validate_doc(doc: dict) -> list[str]:
     if not isinstance(summary, dict):
         errors.append("summary: missing")
         return errors
-    for key in ("cells", "all_identical", "zero_order_violations",
+    for key in ("cells", "zero_order_violations",
                 "all_rollouts_correct", "all_crashes_recovered",
                 "all_recoveries_within_bounds", "zero_canary_losses",
                 "all_isolation_within_bounds", "recovery_latencies",
@@ -384,7 +389,7 @@ def validate_doc(doc: dict) -> list[str]:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--smoke", action="store_true",
-                        help="2×2×2 grid corner (tier-1 smoke run)")
+                        help="small grid corner (tier-1 smoke run)")
     parser.add_argument("--out", default=None,
                         help="output JSON path (default: "
                              "<repo>/BENCH_liveops.json; smoke runs "
@@ -410,7 +415,7 @@ def main(argv=None) -> int:
         fh.write("\n")
     print(f"\nwrote {os.path.normpath(path)}")
     summary = out["summary"]
-    failures = [key for key in ("all_identical", "zero_order_violations",
+    failures = [key for key in ("zero_order_violations",
                                 "all_rollouts_correct",
                                 "all_crashes_recovered",
                                 "all_recoveries_within_bounds",

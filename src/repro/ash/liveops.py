@@ -36,8 +36,8 @@ versions have boot records, so a crash mid-canary reboots straight back
 into the canary configuration.
 
 Everything is deterministic: cohort choice, digests, and verdicts are
-pure functions of the workload, so both simulation substrates and every
-SMP width reach bit-identical rollout outcomes.
+pure functions of the workload, so every run and every SMP width reach
+bit-identical rollout outcomes.
 """
 
 from __future__ import annotations

@@ -14,8 +14,8 @@ choke points:
   clipped at zero cost: no buffer is consumed, no interrupt raised, no
   cycle charged.  Dead tenants' frames are dropped the same way.
 * **pktbuf pool** — a tenant at its ``buffers`` quota is denied further
-  zero-copy wrappers (``tenant.pktbuf_denied``); the frame degrades to
-  the legacy bytes path, which every consumer handles.
+  zero-copy wrappers (``tenant.pktbuf_denied``); the frame is then read
+  out of node memory, which every consumer handles.
 * **ASH scheduler** — per-round handler cycle accounting
   (``handler_cycles`` per ``round_us``); an exhausted tenant has its
   handler skipped for the rest of the round (the message takes the
@@ -266,8 +266,9 @@ class TenantManager:
 
     def pktbuf_ok(self, nic: "Nic", frame: "Frame") -> bool:
         """May this frame get a zero-copy pktbuf wrapper?  Denial is
-        behavior-invariant (the legacy bytes path), so the pool quota
-        can never perturb another tenant's event schedule."""
+        behavior-invariant (the frame is read out of node memory), so
+        the pool quota can never perturb another tenant's event
+        schedule."""
         t = self._tenant_for(nic, frame.vci)
         if t is None:
             return True

@@ -634,7 +634,6 @@ def _build_increment_v2(kind: str, slow_insns: int):
 
 def canary_rollout(
     cal: Calibration = DEFAULT,
-    substrate: Optional[str] = None,
     ncores: int = 1,
     flows: int = 4,
     staged_rounds: int = 4,
@@ -664,14 +663,12 @@ def canary_rollout(
     version bindings ride the boot-record replay, so the rollout must
     come back in its canary configuration with zero lost messages.
 
-    Returns a deterministic observables dict — the substrate/SMP
+    Returns a deterministic observables dict — the golden/SMP
     bit-identity bar for the rollout plane.
     """
     from ..ash.liveops import RolloutController
-    from ..sim.engine import Engine
 
-    engine = Engine(substrate=substrate) if substrate else Engine()
-    tb = make_an2_pair(cal, engine=engine, ncores=ncores)
+    tb = make_an2_pair(cal, ncores=ncores)
     sk, ck = tb.server_kernel, tb.client_kernel
     if scenario is not None:
         tb.attach_fault_plane(seed=fault_seed)
@@ -933,7 +930,6 @@ def _victim_slice(manager, name: str) -> dict:
 
 def tenant_world(
     cal: Calibration = DEFAULT,
-    substrate: Optional[str] = None,
     ncores: int = 1,
     scenario: str = "flood",
     perturbed: bool = True,
@@ -952,8 +948,7 @@ def tenant_world(
     the containment bar is that every victim observable in the returned
     dict — flow digests, latencies, counters, the victims' own tenant
     telemetry, and (concurrent scenarios) TCP congestion digests — is
-    **bit-identical** between the two runs, on both substrates and any
-    SMP core count.
+    **bit-identical** between the two runs at any SMP core count.
 
     Concurrent scenarios (``flood`` / ``leak`` / ``hog_install`` /
     ``crash_loop``): victims are a TCP bulk flow (tenant ``alice``) and
@@ -970,12 +965,10 @@ def tenant_world(
     victim's next message arrives.
     """
     from ..ash.tenancy import TenantManager
-    from ..sim.engine import Engine
 
     if scenario not in TENANT_SCENARIOS:
         raise ValueError(f"unknown tenant scenario {scenario!r}")
-    engine = Engine(substrate=substrate) if substrate else Engine()
-    tb = make_an2_pair(cal, engine=engine, ncores=ncores)
+    tb = make_an2_pair(cal, ncores=ncores)
     sk, ck = tb.server_kernel, tb.client_kernel
     manager = TenantManager(sk)
     concurrent = scenario in _CONCURRENT_SCENARIOS
@@ -1019,7 +1012,6 @@ def tenant_world(
     observables: dict = {
         "scenario": scenario,
         "perturbed": perturbed,
-        "substrate": engine.substrate,
         "ncores": ncores,
     }
     victims: dict = {}
@@ -1164,7 +1156,6 @@ def tenant_world(
 
 def tenant_noisy_neighbor(
     cal: Calibration = DEFAULT,
-    substrate: Optional[str] = None,
     ncores: int = 1,
     intensity_fps: int = 0,
     protected: bool = True,
@@ -1188,10 +1179,8 @@ def tenant_noisy_neighbor(
     ablation — no quotas, every frame lands, and the victim bleeds.
     """
     from ..ash.tenancy import TenantManager
-    from ..sim.engine import Engine
 
-    engine = Engine(substrate=substrate) if substrate else Engine()
-    tb = make_an2_pair(cal, engine=engine, ncores=ncores)
+    tb = make_an2_pair(cal, ncores=ncores)
     sk, ck = tb.server_kernel, tb.client_kernel
     manager = None
     if protected:

@@ -21,33 +21,31 @@ The tag store is an ``array('q')`` with a shared ``numpy`` int64 view
 over the same buffer.  Scalar probes (the VCODE interpreter and the
 JIT's inlined cache model index ``_tags`` one line at a time) stay
 plain-int fast, while bulk range operations — whole-packet copies,
-checksums and flushes — run in O(lines) numpy arithmetic on the ``fast``
-substrate.  Both paths compute identical hit/miss counts and stall
-cycles; ``REPRO_SIM_SUBSTRATE=legacy`` forces the scalar walks
-everywhere (the original behavior).
+checksums and flushes — wider than ``_SCALAR_CUTOFF`` lines run in
+O(lines) numpy arithmetic.  The scalar walk is also the reference the
+vector path is checked against (``tests/test_hw_cache.py``): both
+compute identical hit/miss counts, stall cycles and final tag state.
 """
 
 from __future__ import annotations
 
 from array import array
-from typing import Optional
 
 import numpy as np
 
-from ..sim.engine import active_substrate
 from .calibration import Calibration
 
 __all__ = ["DirectMappedCache"]
 
-#: ranges touching at most this many lines take the scalar walk even on
-#: the fast substrate: numpy call overhead beats the loop only beyond it
+#: ranges touching at most this many lines take the scalar walk: numpy
+#: call overhead beats the loop only beyond it
 _SCALAR_CUTOFF = 8
 
 
 class DirectMappedCache:
     """Tag store + cycle accounting for a direct-mapped cache."""
 
-    def __init__(self, cal: Calibration, substrate: Optional[str] = None):
+    def __init__(self, cal: Calibration):
         self.cal = cal
         self.line = cal.cache_line
         self.nlines = cal.cache_size // cal.cache_line
@@ -57,7 +55,6 @@ class DirectMappedCache:
         self._tags = array("q", bytes(8 * self.nlines))
         self._tags_np = np.frombuffer(self._tags, dtype=np.int64)
         self._tags_np.fill(-1)
-        self._vectorized = active_substrate(substrate) == "fast"
         self.hits = 0
         self.misses = 0
 
@@ -90,14 +87,13 @@ class DirectMappedCache:
         This is the primitive both the VCODE interpreter (word at a
         time) and the compiled DILP kernels (whole buffers at once) use,
         so both charge identical miss costs for identical access
-        patterns.  Wide ranges vectorize on the fast substrate; the
-        result (hits, misses, stalls, final tag state) is bit-identical
-        to the scalar walk.
+        patterns.  Wide ranges vectorize; the result (hits, misses,
+        stalls, final tag state) is bit-identical to the scalar walk.
         """
         if size <= 0:
             return 0
         first, nl = self._span(addr, size)
-        if not self._vectorized or nl <= _SCALAR_CUTOFF:
+        if nl <= _SCALAR_CUTOFF:
             return self._touch_scalar(first, nl, is_store)
         return self._touch_vector(first, nl, is_store)
 
@@ -159,7 +155,7 @@ class DirectMappedCache:
         first, nl = self._span(addr, size)
         line = self.line
         nlines = self.nlines
-        if self._vectorized and nl > _SCALAR_CUTOFF:
+        if nl > _SCALAR_CUTOFF:
             line_addrs = first + np.arange(nl, dtype=np.int64) * line
             idx = (line_addrs // line) % nlines
             return nl - int((self._tags_np[idx] == line_addrs).sum())
@@ -178,7 +174,7 @@ class DirectMappedCache:
         first, nl = self._span(addr, size)
         line = self.line
         nlines = self.nlines
-        if self._vectorized and nl > _SCALAR_CUTOFF:
+        if nl > _SCALAR_CUTOFF:
             tags = self._tags_np
             if nl >= nlines:
                 # every resident tag sits in its own set (installs only

@@ -161,7 +161,7 @@ class Nic:
         #: the owning node's telemetry hub, installed by :meth:`bind`
         self.telemetry = None
         #: the owning node's PacketBufPool, installed by :meth:`bind`
-        #: (fast substrate only; None keeps the legacy bytes path)
+        #: (None until then: received frames carry no zero-copy wrapper)
         self.pktpool: Optional[PacketBufPool] = None
         # -- receive-side scaling (re-homed by bind on SMP nodes) -------
         self.ncores = 1
@@ -310,8 +310,8 @@ class Nic:
         if self.pktpool is not None \
                 and (admission is None or admission.pktbuf_ok(self, frame)) \
                 and not self.memory.pressure_gate("pktbuf"):
-            # a refused wrapper allocation degrades to the legacy bytes
-            # path (desc.buf stays None, which every consumer handles)
+            # a refused wrapper allocation leaves desc.buf None: the
+            # consumers then read the frame out of node memory instead
             desc.buf = self.pktpool.acquire(desc.addr, desc.dma_span or desc.length)
         if tel is not None and tel.enabled:
             tel.counter("nic.rx_frames", nic=self.name).inc()

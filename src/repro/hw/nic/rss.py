@@ -14,7 +14,7 @@ per-flow protocol state never bounces between caches mid-flow.
 Determinism: steering is a pure function of frame bytes plus the flow
 table, never of Python's salted ``hash()`` or any wall-clock input —
 two runs of the same workload steer identically, which is what keeps
-the fast/legacy substrates bit-identical under per-core interleaving.
+SMP worlds on their golden digests under per-core interleaving.
 """
 
 from __future__ import annotations

@@ -42,9 +42,7 @@ class Node:
         self.name = name
         self.cal = cal
         self.memory = PhysicalMemory(mem_size)
-        # the engine is the single source of truth for the substrate:
-        # cache vectorization and the packet pool key off it together
-        self.dcache = DirectMappedCache(cal, substrate=engine.substrate)
+        self.dcache = DirectMappedCache(cal)
         self.ncores = ncores
         # core 0 keeps the historical ``<name>.cpu`` name so single-core
         # worlds (and their pinned telemetry/trace output) are unchanged
@@ -61,11 +59,7 @@ class Node:
         )
         self.tracer = tracer if tracer is not None else Tracer(engine)
         self.telemetry = Telemetry(engine, source=name, tracer=self.tracer)
-        self.pktpool: Optional[PacketBufPool] = (
-            PacketBufPool(self.memory, self.telemetry, name=name)
-            if engine.substrate == "fast"
-            else None
-        )
+        self.pktpool = PacketBufPool(self.memory, self.telemetry, name=name)
         self.nics: dict[str, Nic] = {}
         #: installed by the kernel package at boot
         self.kernel: Optional["Kernel"] = None

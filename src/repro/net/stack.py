@@ -48,9 +48,6 @@ class NetStack:
         self.ip = ip_aton(ip)
         self.datapath = DataPath(kernel.node)
         self.reassembler = Reassembler()
-        #: fast substrate: receive paths parse memoryviews of node
-        #: memory instead of materializing bytes per hop
-        self.zero_copy = kernel.engine.substrate == "fast"
         self._ident = 0
         self.is_an2 = isinstance(nic, An2Nic)
         if self.is_an2:
@@ -136,17 +133,12 @@ class NetStack:
             return desc.addr, desc.length
         return desc.addr + EthernetHeader.SIZE, desc.length - EthernetHeader.SIZE
 
-    def read_ip_packet(self, desc) -> tuple[int, int, "bytes | memoryview"]:
+    def read_ip_packet(self, desc) -> tuple[int, int, memoryview]:
         """(address, length, buffer) of the received IP packet.
 
-        On the fast substrate the buffer is a zero-copy ``memoryview``
-        over node memory — valid only until the receive buffer is
-        replenished, so callers must materialize any payload they keep.
-        On the legacy substrate it is a ``bytes`` copy (the original
-        behavior).
+        The buffer is a zero-copy ``memoryview`` over node memory —
+        valid only until the receive buffer is replenished, so callers
+        must materialize any payload they keep.
         """
         ip_addr, ip_len = self.ip_payload_view(desc)
-        mem = self.node.memory
-        if self.zero_copy:
-            return ip_addr, ip_len, mem.read_view(ip_addr, ip_len)
-        return ip_addr, ip_len, mem.read(ip_addr, ip_len)
+        return ip_addr, ip_len, self.node.memory.read_view(ip_addr, ip_len)

@@ -2,7 +2,7 @@
 
 Two pure data structures, deliberately free of simulator / kernel
 dependencies so their behaviour is a function of the byte streams alone
-(the substrate- and SMP-identity proofs lean on that):
+(the golden-digest and SMP-identity proofs lean on that):
 
 * :class:`SackScoreboard` — the sender's per-segment retransmission
   ledger.  Every transmitted segment is a :class:`SentSeg`; cumulative

@@ -205,7 +205,7 @@ class TcpConnection:
         self._inplace_spans: deque[tuple[int, int]] = deque()
         self.peer_fin = False
         #: bounded congestion-event trail: (t, kind, cwnd, ssthresh)
-        #: tuples for every cwnd transition — the substrate/SMP identity
+        #: tuples for every cwnd transition — the golden/SMP identity
         #: digests hash this verbatim
         self.cc_events: deque[tuple[int, str, int, int]] = deque(
             maxlen=CC_EVENT_LIMIT
@@ -240,7 +240,7 @@ class TcpConnection:
 
     def congestion_digest(self) -> str:
         """Stable hash of the congestion-event trail (determinism tests
-        compare it across substrates and SMP core counts)."""
+        pin it to golden digests and compare it across SMP core counts)."""
         h = hashlib.sha256()
         for ev in self.cc_events:
             h.update(repr(ev).encode())
@@ -701,8 +701,8 @@ class TcpConnection:
         tracker = self.tel.spans
         prev_active = tracker.active
         try:
-            # fast substrate: raw is a zero-copy view of the receive
-            # buffer; everything parsed from it is consumed (written
+            # raw is a zero-copy view of the receive buffer;
+            # everything parsed from it is consumed (written
             # into the ring) before the replenish below recycles it
             ip_addr, ip_len, raw = self.stack.read_ip_packet(desc)
             span = desc.meta.get("span")
@@ -915,7 +915,7 @@ class TcpConnection:
 
     def _accept_data(self, proc: "Process", seg: ParsedSegment) -> Generator:
         """Place payload: in-order into the receive ring, out-of-order
-        into the reassembly queue (SACK) or dropped (legacy)."""
+        into the reassembly queue (SACK) or dropped (SACK off)."""
         tcb = self.tcb
         sh = tcb.shared
         mem = self.kernel.node.memory

@@ -163,8 +163,8 @@ class UdpSocket:
                 desc = yield from kernel.sys_recv_block(proc, self.endpoint)
             else:
                 desc = yield from kernel.sys_recv_poll(proc, self.endpoint)
-            # fast substrate: a zero-copy view of the receive buffer;
-            # every slice below stays a view until materialized
+            # a zero-copy view of the receive buffer; every slice
+            # below stays a view until materialized
             ip_addr, ip_len, raw = stack.read_ip_packet(desc)
             try:
                 result = stack.reassembler.push(raw)
@@ -234,7 +234,6 @@ class UdpSocket:
                     self.tel.counter("copy.cycles", kind="udp_rx").inc(cycles)
                 payload = datagram[payload_off:payload_off + payload_len]
             # materialize before the buffer is recycled under the view
-            # (bytes() of bytes is a no-op on the legacy path)
             payload = bytes(payload)
             yield from kernel.sys_replenish(proc, self.endpoint, desc)
             self.rx_datagrams += 1

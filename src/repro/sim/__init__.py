@@ -8,8 +8,6 @@ from .engine import (
     Interrupt,
     SimProcess,
     Timeout,
-    SUBSTRATE_ENV,
-    active_substrate,
 )
 from .queues import CalendarQueue, Channel, Gate, HeapEventQueue, PriorityLock, TimerWheel
 from .trace import TraceRecord, Tracer
@@ -23,8 +21,6 @@ __all__ = [
     "Interrupt",
     "SimProcess",
     "Timeout",
-    "SUBSTRATE_ENV",
-    "active_substrate",
     "CalendarQueue",
     "Channel",
     "Gate",

@@ -27,11 +27,10 @@ Example
 
 from __future__ import annotations
 
-import os
 from typing import Any, Callable, Generator, Iterable, Optional
 
 from ..errors import SimError
-from .queues import CalendarQueue, HeapEventQueue
+from .queues import CalendarQueue
 
 __all__ = [
     "Engine",
@@ -41,15 +40,8 @@ __all__ = [
     "Interrupt",
     "AnyOf",
     "AllOf",
-    "SUBSTRATE_ENV",
-    "active_substrate",
     "DEFAULT_TIMER_HORIZON_US",
 ]
-
-#: environment variable selecting the simulation substrate
-SUBSTRATE_ENV = "REPRO_SIM_SUBSTRATE"
-
-_SUBSTRATES = ("fast", "legacy")
 
 #: Default timer horizon (µs) used to auto-size the calendar queue's
 #: bucket width: the farthest ahead the modelled protocols routinely
@@ -59,24 +51,6 @@ _SUBSTRATES = ("fast", "legacy")
 #: constant lives here and ``tests/test_scale_smp.py`` cross-checks it
 #: against the TCP calibration to keep the two from drifting apart.
 DEFAULT_TIMER_HORIZON_US = 500_000
-
-
-def active_substrate(override: Optional[str] = None) -> str:
-    """Resolve the simulation substrate: ``fast`` (calendar-queue event
-    engine, vectorized cache model, zero-copy packet buffers) or
-    ``legacy`` (single heapq, scalar cache walks, ``bytes`` copies at
-    every packet hop).
-
-    ``REPRO_SIM_SUBSTRATE=legacy`` is the escape hatch; both substrates
-    produce bit-identical simulated cycles (pinned by
-    ``tests/test_determinism.py``).
-    """
-    value = (override or os.environ.get(SUBSTRATE_ENV) or "fast").lower()
-    if value not in _SUBSTRATES:
-        raise SimError(
-            f"unknown {SUBSTRATE_ENV}={value!r} (expected one of {_SUBSTRATES})"
-        )
-    return value
 
 
 class Interrupt(Exception):
@@ -359,27 +333,19 @@ class SimProcess(Event):
 class Engine:
     """The discrete-event scheduler: a queue of timestamped callbacks.
 
-    The queue implementation is selected by the *substrate*: the
-    ``fast`` default uses a :class:`~repro.sim.queues.CalendarQueue`
-    (bucketed wheel + far-future heap, with true O(1) cancellation for
-    wheel-resident timers); ``legacy`` keeps the original single binary
-    heap.  Both pop in identical ``(time, seq)`` order, so the choice is
-    invisible to simulated results.
+    The queue is a :class:`~repro.sim.queues.CalendarQueue` (bucketed
+    wheel + far-future heap, with true O(1) cancellation for
+    wheel-resident timers) that pops in strict ``(time, seq)`` order.
     """
 
-    def __init__(self, substrate: Optional[str] = None,
-                 timer_horizon_us: Optional[float] = None) -> None:
+    def __init__(self, timer_horizon_us: Optional[float] = None) -> None:
         self._now = 0
         self._seq = 0
-        self.substrate = active_substrate(substrate)
         if timer_horizon_us is None:
             timer_horizon_us = DEFAULT_TIMER_HORIZON_US
         self.timer_horizon_us = timer_horizon_us
-        self._queue = (
-            CalendarQueue.for_horizon(int(timer_horizon_us * 1_000_000))
-            if self.substrate == "fast"
-            else HeapEventQueue()
-        )
+        self._queue = CalendarQueue.for_horizon(
+            int(timer_horizon_us * 1_000_000))
         self._crashes: list[tuple[SimProcess, BaseException]] = []
         #: monotonic trace-id mint (telemetry trace context).  Lives on
         #: the engine so ids are unique across every node sharing the
@@ -389,7 +355,7 @@ class Engine:
         self._scheduled = 0
         self._fired = 0
         self._cancelled = 0
-        self._inlined = 0  # queue hops elided by the fast loop
+        self._inlined = 0  # queue hops elided by the dispatch loop
         self._published: dict[str, int] = {}  # last-exported counter values
         # Shared pre-triggered event: what an open gate or an
         # uncontended lock hands back.  Stateless (value None, no
@@ -461,53 +427,20 @@ class Engine:
     def run(self, until: Optional[int] = None, raise_crashes: bool = True) -> None:
         """Run until the event queue drains or the clock reaches ``until``.
 
-        The ``fast`` substrate uses a fused dispatch loop that inlines
-        the two hottest event shapes (a timeout firing, a process
-        resuming) — same events, same order, far fewer interpreter
-        operations per event.  ``legacy`` keeps the original loop.
+        An empty queue leaves the clock at the last event; events left
+        beyond ``until`` park it there.  The dispatch loop is fused: it
+        is an exact transcription of what the generic path does —
+        ``Timeout._fire`` → ``succeed`` → ``_ready``, and
+        ``SimProcess._on_event``/``_resume`` → ``_step`` — with the
+        intermediate bound-method hops inlined.  Anything that is not
+        one of those two shapes falls through to a plain ``fn(*args)``
+        call, so ordering and side effects are identical to popping
+        each entry and calling it, with far fewer interpreter
+        operations per event.
 
         If any process died with an unhandled exception the first such
         exception is re-raised at the end of the run (pass
         ``raise_crashes=False`` to inspect ``engine.crashes`` instead).
-        """
-        if self.substrate == "fast":
-            self._run_fast(until)
-        else:
-            self._run_legacy(until)
-        if raise_crashes and self._crashes:
-            _proc, exc = self._crashes[0]
-            raise exc
-
-    def _run_legacy(self, until: Optional[int]) -> None:
-        queue = self._queue
-        while True:
-            at = queue.peek_at()
-            if at is None:
-                break
-            if until is not None and at > until:
-                # events remain beyond the horizon: park the clock there
-                self._now = until
-                break
-            entry = queue.pop()
-            self._now = at
-            fn, args = entry[2], entry[3]
-            if fn is not None:  # tombstones pop silently
-                entry[2] = None  # mark fired: cancel is now a no-op
-                self._fired += 1
-                fn(*args)
-        # an empty queue leaves the clock at the last event (the
-        # simulation is over; no reason to fast-forward to `until`)
-
-    def _run_fast(self, until: Optional[int]) -> None:
-        """Fused dispatch loop.
-
-        Dispatch here is an exact transcription of what the generic
-        path does — ``Timeout._fire`` → ``succeed`` → ``_ready``, and
-        ``SimProcess._on_event``/``_resume`` → ``_step`` — with the
-        intermediate bound-method hops inlined.  Anything that is not
-        one of those two shapes falls through to a plain ``fn(*args)``
-        call, so ordering and side effects are identical to
-        :meth:`_run_legacy` on the same schedule.
         """
         queue = self._queue
         pop_due = queue.pop_due
@@ -602,9 +535,12 @@ class Engine:
             self._fired += fired_d
             self._scheduled += sched_d
             self._inlined += inl_d
+        if raise_crashes and self._crashes:
+            _proc, exc = self._crashes[0]
+            raise exc
 
     def _send_step(self, proc: "SimProcess", value: Any) -> None:
-        """Advance a process generator with ``value`` (the fast loop's
+        """Advance a process generator with ``value`` (the dispatch loop's
         inlined ``SimProcess._step`` + ``add_callback``).
 
         When the yielded target has *already* triggered (an uncontended
@@ -698,7 +634,6 @@ class Engine:
         the queue's own structure-specific counters (tombstones pending
         and popped, wheel occupancy, overflow spills...)."""
         return {
-            "substrate": self.substrate,
             "now_ps": self._now,
             "scheduled": self._scheduled,
             "fired": self._fired,

@@ -31,10 +31,10 @@ makes all of those conditions injectable at well-defined seams:
 
 Every decision is drawn from a per-seam :class:`random.Random` stream
 seeded from ``(plane seed, seam name)`` and consumed in seam-call
-order.  Because both simulation substrates produce bit-identical event
-orderings, an identical seeded fault schedule yields **bit-identical
-outcomes** (delivered bytes, retransmit counts, the fault ledger) on
-``fast`` and ``legacy`` — the bar ``tests/test_faults.py`` pins.
+order.  Because the engine's event ordering is deterministic, an
+identical seeded fault schedule yields **bit-identical outcomes**
+(delivered bytes, retransmit counts, the fault ledger) on every run —
+``tests/test_faults.py`` pins them to committed golden digests.
 
 Activation windows (``start_us``/``stop_us``) are evaluated against the
 engine's deterministic clock, so scenarios are scriptable as plain data
@@ -360,16 +360,16 @@ class MemPressure(_Injector):
     """Injected allocation failure, per allocating call site.
 
     Installed as ``node.memory.pressure``; every gated site draws from
-    its **own** seeded stream (``mem:<node>:<site>``) so sites that only
-    exist on one substrate (the ``pktbuf`` wrapper pool is fast-only)
-    cannot perturb the failure pattern of substrate-invariant sites.
-    For the same reason ``pktbuf`` is *not* in the default site set —
-    gate it explicitly when substrate identity is not required.
+    its **own** seeded stream (``mem:<node>:<site>``) so gating one
+    site never perturbs the failure pattern of another.  ``pktbuf`` is
+    *not* in the default site set: a refused zero-copy wrapper changes
+    no simulated outcome, so gate it explicitly to exercise that
+    fallback.
 
-    Refusals degrade, never crash: the pktbuf pool falls back to the
-    legacy bytes path, a refused rx-ring refill is deferred and flushed
-    by the next successful one, a refused ASH install falls back to the
-    upcall path.  Every refusal is counted under
+    Refusals degrade, never crash: a refused pktbuf wrapper leaves the
+    frame to be read out of node memory, a refused rx-ring refill is
+    deferred and flushed by the next successful one, a refused ASH
+    install falls back to the upcall path.  Every refusal is counted under
     ``mem.alloc_failures{site}``.
     """
 
@@ -871,7 +871,7 @@ class FaultPlane:
 
     def ledger(self) -> dict[str, int]:
         """Deterministic count of injected faults by kind — part of the
-        substrate bit-identity bar."""
+        golden-digest bar."""
         return dict(sorted(self._ledger.items()))
 
     def total(self, kind: Optional[str] = None) -> int:

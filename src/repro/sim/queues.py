@@ -14,13 +14,11 @@ Process-facing primitives:
 
 Engine-facing event queues (see :mod:`repro.sim.engine`):
 
-* :class:`HeapEventQueue` — the legacy single binary heap,
-* :class:`CalendarQueue` — a bucketed calendar queue with a heap
-  fallback for far-future events.
-
-Both pop entries in exactly the same ``(time, seq)`` order, which is
-what lets ``REPRO_SIM_SUBSTRATE`` switch between them without changing
-any simulated result.
+* :class:`CalendarQueue` — the engine's queue: a bucketed calendar
+  queue with a heap fallback for far-future events,
+* :class:`HeapEventQueue` — a plain binary heap, kept as the reference
+  implementation ``tests/test_sim_calendar_queue.py`` checks the
+  calendar queue's ``(time, seq)`` pop order against.
 """
 
 from __future__ import annotations
@@ -57,7 +55,7 @@ __all__ = [
 
 
 class HeapEventQueue:
-    """The legacy substrate: one binary heap of entries."""
+    """One binary heap of entries: the calendar queue's test oracle."""
 
     kind = "heap"
 
@@ -74,13 +72,6 @@ class HeapEventQueue:
 
     def peek_at(self) -> Optional[int]:
         return self._heap[0][0] if self._heap else None
-
-    def pop(self) -> list:
-        entry = heapq.heappop(self._heap)
-        if entry[2] is None:
-            self.tombstones -= 1
-            self.tombstones_popped += 1
-        return entry
 
     def pop_due(self, until: Optional[int] = None) -> Optional[list]:
         """Combined peek+pop: the next entry, or ``None`` when the queue
@@ -229,19 +220,10 @@ class CalendarQueue:
             return None
         return self._due[0][0]
 
-    def pop(self) -> list:
-        if not self._due:
-            self._advance()
-        entry = heapq.heappop(self._due)
-        if entry[2] is None:
-            self.tombstones -= 1
-            self.tombstones_popped += 1
-        return entry
-
     def pop_due(self, until: Optional[int] = None) -> Optional[list]:
         """Combined peek+pop: the next entry, or ``None`` when nothing
         is pending or the global minimum fires beyond ``until``.  This
-        is the engine fast loop's single per-event queue call."""
+        is the engine dispatch loop's single per-event queue call."""
         due = self._due
         if not due:
             if not self._advance():
@@ -294,7 +276,7 @@ class TimerWheel:
     receive path and cancels it the moment data wins the race; left to
     the raw engine this is the classic tombstone factory.  The wheel
     tracks the live timeouts, funnels cancellation through the engine's
-    true-cancel path (bucket removal on the calendar substrate), and
+    true-cancel path (bucket removal from the calendar wheel), and
     keeps arm/cancel/fire counters for the benchmarks' drain asserts.
     """
 

@@ -5,8 +5,8 @@ stress, forced mid-handler ASH aborts) and the recovery guarantees they
 exercise: TCP completing byte-identical under drop+corrupt+duplicate+
 reorder, NICs dropping-and-counting under injected exhaustion, UDP
 surviving truncated DMA, and an aborted ASH degrading to the upcall
-path with zero message loss.  The same seeded schedule must produce
-bit-identical outcomes on the fast and legacy simulation substrates.
+path with zero message loss.  The same seeded schedule must reproduce
+its committed golden outcome (``tests/golden/faults.json``) exactly.
 """
 
 import random
@@ -25,23 +25,44 @@ from repro.net.socket_api import make_stacks, tcp_pair
 from repro.net.stack import NetStack
 from repro.net.udp import UdpSocket
 from repro.sim.engine import Engine
+from tests import golden
 
 CHAOS_KNOBS = dict(drop=0.03, corrupt=0.03, duplicate=0.04, reorder=0.04)
+HEAVY_KNOBS = dict(drop=0.06, corrupt=0.06, duplicate=0.08, reorder=0.08)
 
 
-def chaos_tcp_transfer(substrate: str, seed: int, nbytes: int,
-                       knobs: dict = CHAOS_KNOBS) -> dict:
-    """Bulk transfer under combined impairments; returns observables."""
-    tb = make_an2_pair(engine=Engine(substrate=substrate))
+def tcp_bulk_run(seed: int, nbytes: int = 48_000, *, ncores: int = 1,
+                 knobs: dict = None, crash: bool = False,
+                 crash_at_us: float = 1_500.0, outage_us: float = 40_000.0,
+                 mode: str = None, pressure: dict = None,
+                 contention: dict = None):
+    """One seeded bulk TCP transfer over an AN2 pair: optional link
+    impairments (``knobs``), a scripted server crash mid-flow, memory
+    pressure and CPU contention on the server, and a server fast path
+    (``mode``).  The client lingers to answer late retransmissions.
+    Checks every byte arrived; returns ``(testbed, client, server,
+    delivered)``."""
+    tb = make_an2_pair(ncores=ncores)
     cstack, sstack = make_stacks(tb)
     client, server = tcp_pair(cstack, sstack, rto_us=20_000.0)
     plane = tb.attach_fault_plane(seed=seed)
-    plane.impair_link(tb.link, skip_first=3, **knobs)
+    if knobs:
+        # the first frames pass untouched, so sessions always establish
+        plane.impair_link(tb.link, skip_first=3, **knobs)
+    if crash:
+        plane.crash_node(tb.server_kernel, at_us=crash_at_us,
+                         outage_us=outage_us)
+    if pressure:
+        plane.pressure_memory(tb.server, **pressure)
+    if contention:
+        plane.contend_cpu(tb.server, **contention)
     data = bytes(random.Random(seed).randrange(256) for _ in range(nbytes))
     got = []
 
     def server_body(proc):
         yield from server.accept(proc)
+        if mode is not None:
+            server.install_fastpath(mode)
         got.append((yield from server.read(proc, nbytes)))
         yield from server.write(proc, b"done")
 
@@ -56,9 +77,16 @@ def chaos_tcp_transfer(substrate: str, seed: int, nbytes: int,
     tb.client_kernel.spawn_process("client", client_body)
     tb.run()
     assert got and got[0] == data, "transfer corrupted or incomplete"
+    return tb, client, server, got[0]
+
+
+def chaos_tcp_transfer(seed: int, nbytes: int,
+                       knobs: dict = CHAOS_KNOBS) -> dict:
+    """Bulk transfer under combined impairments; returns observables."""
+    tb, client, server, delivered = tcp_bulk_run(seed, nbytes, knobs=knobs)
     return {
-        "delivered": got[0],
-        "ledger": plane.ledger(),
+        "delivered": delivered,
+        "ledger": tb.fault_plane.ledger(),
         "retransmits": (client.tcb.retransmits, server.tcb.retransmits),
         "fast_retransmits": (client.tcb.fast_retransmits,
                              server.tcb.fast_retransmits),
@@ -70,37 +98,48 @@ def chaos_tcp_transfer(substrate: str, seed: int, nbytes: int,
     }
 
 
+def transfer_record(out: dict) -> dict:
+    """Golden record of a chaos/crash transfer's observables."""
+    return golden.record(out, time_ps=out["time_ps"],
+                         retransmits=out["retransmits"],
+                         ledger=out["ledger"])
+
+
+#: chaos transfers pinned in ``tests/golden/faults.json``
+CHAOS_WORLDS = {
+    "chaos_seed23": dict(seed=23, nbytes=24_000),
+    **{f"chaos_heavy_seed{seed}": dict(seed=seed, nbytes=48_000,
+                                       knobs=HEAVY_KNOBS)
+       for seed in (3, 17, 91)},
+}
+
+
 def test_fault_smoke():
     """Fast tier-1 smoke: a combined-impairment transfer completes and
     the seeded schedule reproduces exactly."""
-    a = chaos_tcp_transfer("fast", seed=11, nbytes=16_000)
-    b = chaos_tcp_transfer("fast", seed=11, nbytes=16_000)
+    a = chaos_tcp_transfer(seed=11, nbytes=16_000)
+    b = chaos_tcp_transfer(seed=11, nbytes=16_000)
     assert sum(a["ledger"].values()) > 0, "no fault ever fired"
     assert a == b, "same seed must reproduce the same run exactly"
 
 
 def test_combined_impairments_bit_identical_across_substrates():
-    """The acceptance bar: under an identical seeded fault schedule the
-    fast and legacy substrates produce bit-identical delivered bytes,
-    retransmit counts, and fault ledgers."""
-    fast = chaos_tcp_transfer("fast", seed=23, nbytes=24_000)
-    legacy = chaos_tcp_transfer("legacy", seed=23, nbytes=24_000)
-    assert fast["delivered"] == legacy["delivered"]
-    assert fast["ledger"] == legacy["ledger"]
-    assert fast == legacy  # including virtual-time and every counter
+    """The acceptance bar: under a seeded fault schedule the delivered
+    bytes, retransmit counts, fault ledger and virtual time match the
+    golden."""
+    out = chaos_tcp_transfer(**CHAOS_WORLDS["chaos_seed23"])
+    golden.check("faults", "chaos_seed23", transfer_record(out))
 
 
 @pytest.mark.slow
 @pytest.mark.parametrize("seed", [3, 17, 91])
 def test_chaos_sweep_heavy(seed):
     """Heavier chaos matrix (slow tier): higher rates, larger transfer,
-    both substrates identical."""
-    knobs = dict(drop=0.06, corrupt=0.06, duplicate=0.08, reorder=0.08)
-    fast = chaos_tcp_transfer("fast", seed=seed, nbytes=48_000, knobs=knobs)
-    legacy = chaos_tcp_transfer("legacy", seed=seed, nbytes=48_000,
-                                knobs=knobs)
-    assert fast == legacy
-    assert sum(fast["ledger"].values()) > 0
+    every run on its golden."""
+    key = f"chaos_heavy_seed{seed}"
+    out = chaos_tcp_transfer(**CHAOS_WORLDS[key])
+    assert sum(out["ledger"].values()) > 0
+    golden.check("faults", key, transfer_record(out))
 
 
 class TestLinkImpairments:
@@ -108,7 +147,7 @@ class TestLinkImpairments:
         """Bit-corrupted TCP segments fail checksum verification and are
         dropped-and-counted, never delivered as payload."""
         out = chaos_tcp_transfer(
-            "fast", seed=7, nbytes=48_000,
+            seed=7, nbytes=48_000,
             knobs=dict(corrupt=0.3),
         )
         assert out["ledger"].get("corrupt", 0) >= 10
@@ -120,7 +159,7 @@ class TestLinkImpairments:
 
     def test_duplicates_and_reorder_yield_dup_acks(self):
         out = chaos_tcp_transfer(
-            "fast", seed=29, nbytes=24_000,
+            seed=29, nbytes=24_000,
             knobs=dict(duplicate=0.2, reorder=0.15),
         )
         assert out["ledger"].get("duplicate", 0) > 0
@@ -207,35 +246,58 @@ class TestNicStress:
             assert len(payload) == 64 and len(set(payload)) == 1
 
 
-class TestAshAbort:
-    def setup_increment(self, tb):
-        """Bind remote_increment both as the ASH and as the upcall, over
-        one shared counter, so a degraded delivery is indistinguishable
-        in outcome from a consumed one."""
-        mem = tb.server.memory
-        state = mem.alloc("ustate", 64)
-        mem.store_u32(state.base + 0, state.base + 48)   # counter addr
-        mem.store_u32(state.base + 4, SERVER_TO_CLIENT_VCI)
-        mem.store_u32(state.base + 8, state.base + 56)   # scratch
-        ep = tb.server_kernel.create_endpoint_an2(
-            tb.server_nic, CLIENT_TO_SERVER_VCI
-        )
-        ash_id = tb.server_kernel.ash_system.download(
-            build_remote_increment(), [(state.base, 64)],
-            user_word=state.base,
-        )
-        tb.server_kernel.ash_system.bind(ep, ash_id)
-        ep.upcall = UpcallHandler(
-            program=build_remote_increment(), user_word=state.base,
-        )
-        return ep, ash_id, state.base + 48
+def setup_increment(tb):
+    """Bind remote_increment both as the ASH and as the upcall, over one
+    shared counter, so a degraded delivery is indistinguishable in
+    outcome from a consumed one."""
+    mem = tb.server.memory
+    state = mem.alloc("ustate", 64)
+    mem.store_u32(state.base + 0, state.base + 48)   # counter addr
+    mem.store_u32(state.base + 4, SERVER_TO_CLIENT_VCI)
+    mem.store_u32(state.base + 8, state.base + 56)   # scratch
+    ep = tb.server_kernel.create_endpoint_an2(
+        tb.server_nic, CLIENT_TO_SERVER_VCI
+    )
+    ash_id = tb.server_kernel.ash_system.download(
+        build_remote_increment(), [(state.base, 64)],
+        user_word=state.base,
+    )
+    tb.server_kernel.ash_system.bind(ep, ash_id)
+    ep.upcall = UpcallHandler(
+        program=build_remote_increment(), user_word=state.base,
+    )
+    return ep, ash_id, state.base + 48
 
+
+def abort_schedule_run() -> dict:
+    """Remote increments under a seeded random abort schedule; returns
+    the golden record (virtual time, ledger, aborts, counter)."""
+    tb = make_an2_pair()
+    ep, ash_id, counter = setup_increment(tb)
+    plane = tb.attach_fault_plane(seed=6)
+    plane.abort_ash(tb.server_kernel, rate=0.5)
+    for v in range(1, 5):
+        tb.client_nic.transmit(
+            Frame(v.to_bytes(4, "little"), vci=CLIENT_TO_SERVER_VCI)
+        )
+    tb.run()
+    entry = tb.server_kernel.ash_system.entry(ash_id)
+    obs = {
+        "time_ps": tb.engine.now,
+        "ledger": plane.ledger(),
+        "involuntary_aborts": entry.involuntary_aborts,
+        "counter": tb.server.memory.load_u32(counter),
+    }
+    return golden.record(obs, **obs)
+
+
+class TestAshAbort:
     def test_mid_handler_abort_falls_back_to_upcall_zero_loss(self):
         """The acceptance bar: a forced mid-handler abort degrades to
         the upcall path and the message is not lost — the counter sees
         every value and every message is answered."""
         tb = make_an2_pair()
-        ep, ash_id, counter = self.setup_increment(tb)
+        ep, ash_id, counter = setup_increment(tb)
         cli_ep = tb.client_kernel.create_endpoint_an2(
             tb.client_nic, SERVER_TO_CLIENT_VCI
         )
@@ -261,28 +323,10 @@ class TestAshAbort:
 
     def test_abort_schedule_identical_across_substrates(self):
         """Forced aborts burn cycles; the cycle accounting (and thus
-        virtual time) must stay bit-identical across substrates."""
-        outcomes = {}
-        for substrate in ("fast", "legacy"):
-            tb = make_an2_pair(engine=Engine(substrate=substrate))
-            ep, ash_id, counter = self.setup_increment(tb)
-            plane = tb.attach_fault_plane(seed=6)
-            plane.abort_ash(tb.server_kernel, rate=0.5)
-            for v in range(1, 5):
-                tb.client_nic.transmit(
-                    Frame(v.to_bytes(4, "little"),
-                          vci=CLIENT_TO_SERVER_VCI)
-                )
-            tb.run()
-            entry = tb.server_kernel.ash_system.entry(ash_id)
-            outcomes[substrate] = (
-                tb.engine.now,
-                plane.ledger(),
-                entry.involuntary_aborts,
-                tb.server.memory.load_u32(counter),
-            )
-        assert outcomes["fast"] == outcomes["legacy"]
-        assert outcomes["fast"][3] == 10  # zero loss on both
+        virtual time) stays on the golden."""
+        rec = abort_schedule_run()
+        golden.check("faults", "abort_schedule", rec)
+        assert rec["counter"] == 10  # zero loss
 
 
 def test_scenario_script_installs_all_sites():
@@ -310,53 +354,14 @@ def test_scenario_script_installs_all_sites():
 # crash/restart recovery plane
 # ---------------------------------------------------------------------------
 
-def crash_tcp_transfer(substrate: str, seed: int, nbytes: int = 48_000,
-                       crash_at_us: float = 1_500.0,
-                       outage_us: float = 40_000.0,
-                       mode: str = None, crash: bool = True,
-                       pressure: dict = None, contention: dict = None,
-                       knobs: dict = None) -> dict:
-    """Bulk transfer with an optional scripted server crash mid-flow,
-    plus optional memory-pressure / CPU-contention / link seams; returns
-    observables including the recovery record."""
-    tb = make_an2_pair(engine=Engine(substrate=substrate))
-    cstack, sstack = make_stacks(tb)
-    client, server = tcp_pair(cstack, sstack, rto_us=20_000.0)
-    plane = tb.attach_fault_plane(seed=seed)
-    if knobs:
-        plane.impair_link(tb.link, skip_first=3, **knobs)
-    if crash:
-        plane.crash_node(tb.server_kernel, at_us=crash_at_us,
-                         outage_us=outage_us)
-    if pressure:
-        plane.pressure_memory(tb.server, **pressure)
-    if contention:
-        plane.contend_cpu(tb.server, **contention)
-    data = bytes(random.Random(seed).randrange(256) for _ in range(nbytes))
-    got = []
-
-    def server_body(proc):
-        yield from server.accept(proc)
-        if mode is not None:
-            server.install_fastpath(mode)
-        got.append((yield from server.read(proc, nbytes)))
-        yield from server.write(proc, b"done")
-
-    def client_body(proc):
-        yield from client.connect(proc)
-        yield from client.write(proc, data)
-        reply = yield from client.read(proc, 4)
-        assert reply == b"done"
-        yield from client.linger(proc, duration_us=2_000_000.0)
-
-    tb.server_kernel.spawn_process("server", server_body)
-    tb.client_kernel.spawn_process("client", client_body)
-    tb.run()
-    assert got and got[0] == data, "transfer corrupted or incomplete"
+def crash_tcp_transfer(seed: int, crash: bool = True, **kw) -> dict:
+    """:func:`tcp_bulk_run` with a server crash mid-flow by default;
+    returns observables including the recovery record."""
+    tb, client, server, delivered = tcp_bulk_run(seed, crash=crash, **kw)
     sk, ck = tb.server_kernel, tb.client_kernel
     return {
-        "delivered": got[0],
-        "ledger": plane.ledger(),
+        "delivered": delivered,
+        "ledger": tb.fault_plane.ledger(),
         "recoveries": sk.recoveries,
         "crash_log": [dict(rec) for rec in sk.crash_log],
         "lost_messages": sk.lost_messages,
@@ -374,14 +379,37 @@ def crash_tcp_transfer(substrate: str, seed: int, nbytes: int = 48_000,
     }
 
 
+#: crash/pressure/contention transfers pinned in ``tests/golden/faults.json``
+CRASH_WORLDS = {
+    "crash_seed37": dict(seed=37),
+    "crash_seed43_upcall": dict(seed=43, mode="upcall", crash_at_us=900.0),
+    "pressure_seed47": dict(seed=47, crash=False, nbytes=24_000,
+                            pressure=dict(rate=0.2, sites=("rx_refill",))),
+    "contention_seed61": dict(seed=61, crash=False, nbytes=24_000,
+                              contention=dict(rate=0.3, burst_cycles=2_000)),
+    "combined_seed71": dict(
+        seed=71, mode="ash",
+        pressure=dict(rate=0.1, sites=("rx_refill", "ash_install")),
+        contention=dict(rate=0.1, burst_cycles=1_000, budget_rate=0.2),
+        knobs=dict(drop=0.02, corrupt=0.02)),
+}
+
+
+def crash_world(key: str) -> dict:
+    """Run one ``CRASH_WORLDS`` transfer and check it against its golden."""
+    out = crash_tcp_transfer(**CRASH_WORLDS[key])
+    golden.check("faults", key, transfer_record(out))
+    return out
+
+
 class TestCrashRecovery:
     def test_crash_mid_flow_zero_loss(self):
         """The acceptance bar: a node crash mid-transfer tears down all
         kernel-volatile state, yet the flow completes byte-identically
         to the uncrashed run — the SharedTcb survives in application
         memory and the sender's retransmissions bridge the outage."""
-        crashed = crash_tcp_transfer("fast", seed=31)
-        clean = crash_tcp_transfer("fast", seed=31, crash=False)
+        crashed = crash_tcp_transfer(seed=31)
+        clean = crash_tcp_transfer(seed=31, crash=False)
         assert crashed["delivered"] == clean["delivered"]
         assert crashed["recoveries"] == 1
         assert clean["recoveries"] == 0
@@ -396,16 +424,16 @@ class TestCrashRecovery:
         assert crashed["order_violations"] == (0, 0)
 
     def test_crash_recovery_bit_identical_across_substrates(self):
-        fast = crash_tcp_transfer("fast", seed=37)
-        legacy = crash_tcp_transfer("legacy", seed=37)
-        assert fast == legacy
+        """The crashed run matches its golden."""
+        out = crash_world("crash_seed37")
+        assert out["recoveries"] == 1
 
     @pytest.mark.parametrize("mode", ["ash", "upcall"])
     def test_crash_reinstalls_fastpath(self, mode):
         """Reboot re-registers the endpoint's handlers from the boot
         records: a downloaded ASH is re-verified and re-installed under
         its original id, an upcall binding is restored verbatim."""
-        out = crash_tcp_transfer("fast", seed=41, mode=mode)
+        out = crash_tcp_transfer(seed=41, mode=mode)
         assert out["recoveries"] == 1
         rec = out["crash_log"][0]
         assert rec["first_delivery_after_reboot"] is not None
@@ -420,13 +448,7 @@ class TestCrashRecovery:
         """Rx-ring contents die with the kernel — never silently: each
         flushed or in-flight message is counted, and TCP recovers every
         byte anyway."""
-        outs = {}
-        for substrate in ("fast", "legacy"):
-            outs[substrate] = crash_tcp_transfer(
-                substrate, seed=43, mode="upcall", crash_at_us=900.0
-            )
-        assert outs["fast"] == outs["legacy"]
-        out = outs["fast"]
+        out = crash_world("crash_seed43_upcall")
         assert out["crash_log"][0]["lost_messages"] == out["lost_messages"]
         assert out["ledger"].get("node_crash") == 1
         assert out["ledger"].get("node_reboot") == 1
@@ -436,14 +458,7 @@ class TestMemPressure:
     def test_rx_refill_pressure_degrades_not_loses(self):
         """Failed replenish allocations park the buffer (deferred
         refill) instead of wedging the ring; the transfer completes."""
-        outs = {}
-        for substrate in ("fast", "legacy"):
-            outs[substrate] = crash_tcp_transfer(
-                substrate, seed=47, crash=False, nbytes=24_000,
-                pressure=dict(rate=0.2, sites=("rx_refill",)),
-            )
-        assert outs["fast"] == outs["legacy"]
-        out = outs["fast"]
+        out = crash_world("pressure_seed47")
         assert out["alloc_failures"].get("rx_refill", 0) > 0
         assert out["ledger"].get("mem_pressure", 0) > 0
         assert out["order_violations"] == (0, 0)
@@ -452,7 +467,7 @@ class TestMemPressure:
         """An ASH download refused under memory pressure degrades the
         fast path one level: the upcall handler serves the flow."""
         out = crash_tcp_transfer(
-            "fast", seed=53, crash=False, nbytes=24_000, mode="ash",
+            seed=53, crash=False, nbytes=24_000, mode="ash",
             pressure=dict(rate=1.0, sites=("ash_install",),
                           max_failures=1),
         )
@@ -481,17 +496,9 @@ class TestMemPressure:
 class TestCpuContention:
     def test_contention_stretches_time_zero_loss(self):
         """Stolen cycles stretch virtual time but lose nothing; the
-        stretched schedule is identical across substrates."""
-        outs = {}
-        for substrate in ("fast", "legacy"):
-            outs[substrate] = crash_tcp_transfer(
-                substrate, seed=61, crash=False, nbytes=24_000,
-                contention=dict(rate=0.3, burst_cycles=2_000),
-            )
-        assert outs["fast"] == outs["legacy"]
-        out = outs["fast"]
-        calm = crash_tcp_transfer("fast", seed=61, crash=False,
-                                  nbytes=24_000)
+        stretched schedule matches its golden."""
+        out = crash_world("contention_seed61")
+        calm = crash_tcp_transfer(seed=61, crash=False, nbytes=24_000)
         assert out["contention_cycles"] > 0
         assert out["ledger"].get("cpu_contention", 0) > 0
         assert out["time_ps"] > calm["time_ps"]
@@ -502,7 +509,7 @@ class TestCpuContention:
         timer budget forces an involuntary abort mid-handler — which
         degrades in order through the hierarchy with zero loss."""
         out = crash_tcp_transfer(
-            "fast", seed=67, crash=False, nbytes=24_000, mode="ash",
+            seed=67, crash=False, nbytes=24_000, mode="ash",
             # the two-tick budget is 80k cycles: a near-budget burst
             # leaves the handler almost nothing, tripping the timer
             contention=dict(budget_rate=0.5, burst_cycles=79_990),
@@ -520,19 +527,8 @@ def test_combined_fault_sweep_zero_order_violations():
     """Everything at once — crash mid-flow, memory pressure, CPU
     contention, link chaos — and service still degrades strictly
     ash → upcall → ring → drop with zero silent loss, bit-identically
-    on both substrates."""
-    outs = {}
-    for substrate in ("fast", "legacy"):
-        outs[substrate] = crash_tcp_transfer(
-            substrate, seed=71, mode="ash",
-            pressure=dict(rate=0.1,
-                          sites=("rx_refill", "ash_install")),
-            contention=dict(rate=0.1, burst_cycles=1_000,
-                            budget_rate=0.2),
-            knobs=dict(drop=0.02, corrupt=0.02),
-        )
-    assert outs["fast"] == outs["legacy"]
-    out = outs["fast"]
+    matching its golden."""
+    out = crash_world("combined_seed71")
     assert out["recoveries"] == 1
     assert out["order_violations"] == (0, 0)
     fired = out["ledger"]
@@ -561,11 +557,10 @@ def _pair_observables(tb, client, server, got, data):
     }
 
 
-def multi_pair_run(substrate: str, npairs: int = 3,
-                   impair: bool = False) -> list:
+def multi_pair_run(npairs: int = 3, impair: bool = False) -> list:
     """N independent TCP flows in one shared engine; optionally crash
     and chaos pair 0 only.  Returns per-pair observables."""
-    engine = Engine(substrate=substrate)
+    engine = Engine()
     world = []
     for i in range(npairs):
         tb = make_an2_pair(engine=engine, name_prefix=f"p{i}.")
@@ -602,13 +597,12 @@ def multi_pair_run(substrate: str, npairs: int = 3,
     return [_pair_observables(*entry) for entry in world]
 
 
-@pytest.mark.parametrize("substrate", ["fast", "legacy"])
-def test_multi_pair_fault_isolation(substrate):
+def test_multi_pair_fault_isolation():
     """Crashing and impairing one pair in a shared-engine world leaves
     every other flow's observables byte-identical to the unimpaired
     run: faults do not leak across node boundaries."""
-    calm = multi_pair_run(substrate)
-    stormy = multi_pair_run(substrate, impair=True)
+    calm = multi_pair_run()
+    stormy = multi_pair_run(impair=True)
     # the impaired pair really was hit ...
     assert stormy[0]["recoveries"] == (1, 0)
     assert stormy[0]["retransmits"] != calm[0]["retransmits"]

@@ -1,7 +1,10 @@
 """Unit tests for the direct-mapped write-through cache model."""
 
+import random
+
 import pytest
 
+import repro.hw.cache as cache_mod
 from repro.hw.cache import DirectMappedCache
 from repro.hw.calibration import Calibration
 
@@ -99,3 +102,42 @@ def test_zero_size_accesses_free(cache):
     assert cache.load(0x100, 0) == 0
     assert cache.store(0x100, 0) == 0
     cache.flush_range(0x100, 0)
+
+
+# -- vector path vs the scalar reference walk ----------------------------------
+
+def _apply(cache: DirectMappedCache, ops: list) -> list:
+    calls = {"load": lambda a, n: cache.touch_range(a, n, is_store=False),
+             "store": lambda a, n: cache.touch_range(a, n, is_store=True),
+             "miss": cache.miss_count_range, "flush": cache.flush_range}
+    return [calls[op](addr, size) for op, addr, size in ops]
+
+
+@pytest.mark.parametrize("installs", [True, False])
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_vector_path_matches_scalar_walk(monkeypatch, installs, seed):
+    """Randomized loads, stores, miss counts and flushes over an address
+    space four times the cache (so sets conflict), with ranges from a
+    few bytes up to three times the cache (so they wrap, ``nl >
+    nlines``), give the same stalls, hit/miss counters and final tag
+    array whether wide ranges take the numpy path or — cutoff raised
+    past any range — the scalar walk."""
+    cal = Calibration(cache_size=1024, store_installs_line=installs)
+    vec, ref = DirectMappedCache(cal), DirectMappedCache(cal)
+    rng = random.Random(seed)
+    line, nlines = vec.line, vec.nlines
+    ops = [(rng.choice(("load", "store", "miss", "flush")),
+            rng.randrange(4 * nlines * line),
+            rng.randrange(1, rng.choice((16, 3 * nlines)) * line))
+           for _ in range(400)]
+    # the sequence exercises every wide branch, wrapping ones included
+    for kind in ("load", "store", "miss", "flush"):
+        assert any(op == kind and vec._span(a, n)[1] > nlines
+                   for op, a, n in ops), kind
+
+    got = _apply(vec, ops)
+    monkeypatch.setattr(cache_mod, "_SCALAR_CUTOFF", 1 << 62)
+    assert _apply(ref, ops) == got
+    assert (vec.hits, vec.misses) == (ref.hits, ref.misses)
+    assert list(vec._tags) == list(ref._tags)
+    assert vec.hits > 0 and vec.misses > 0

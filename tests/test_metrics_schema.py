@@ -42,7 +42,7 @@ def test_fault_run_export_validates_and_carries_recovery_counters():
     checker = _load_schema_checker()
     with telemetry.session() as sess:
         crash_tcp_transfer(
-            "fast", seed=79, nbytes=24_000,
+            seed=79, nbytes=24_000,
             pressure=dict(rate=0.1, sites=("rx_refill",)),
             contention=dict(rate=0.1, burst_cycles=1_000),
         )

@@ -6,7 +6,7 @@ plane is *sidecar only*.  Trace context rides ``Frame.meta`` (never part
 of ``len(frame)``), flow stats and violations live in the telemetry
 registry, and the flight recorder is application memory — so simulated
 cycles and every observable stay bit-identical with telemetry on or
-off, on both substrates.
+off.
 """
 
 import importlib.util
@@ -21,7 +21,7 @@ from repro.net.socket_api import make_stacks, tcp_pair
 from repro.sim.engine import Engine
 from repro.telemetry import SloRule, flow_label
 
-from tests.test_faults import crash_tcp_transfer
+from tests.test_faults import crash_tcp_transfer, tcp_bulk_run
 
 
 def _load_checker(name):
@@ -35,32 +35,11 @@ def _load_checker(name):
     return mod
 
 
-def tcp_transfer(substrate="fast", seed=11, nbytes=6_000):
+def tcp_transfer(seed=11, nbytes=6_000):
     """Small clean two-node TCP transfer; returns (testbed, observables)."""
-    tb = make_an2_pair(engine=Engine(substrate=substrate))
-    cstack, sstack = make_stacks(tb)
-    client, server = tcp_pair(cstack, sstack, rto_us=20_000.0)
-    data = bytes(random.Random(seed).randrange(256) for _ in range(nbytes))
-    got = []
-
-    def server_body(proc):
-        yield from server.accept(proc)
-        got.append((yield from server.read(proc, nbytes)))
-        yield from server.write(proc, b"done")
-
-    def client_body(proc):
-        yield from client.connect(proc)
-        yield from client.write(proc, data)
-        reply = yield from client.read(proc, 4)
-        assert reply == b"done"
-        yield from client.linger(proc, duration_us=2_000_000.0)
-
-    tb.server_kernel.spawn_process("server", server_body)
-    tb.client_kernel.spawn_process("client", client_body)
-    tb.run()
-    assert got and got[0] == data
+    tb, client, server, delivered = tcp_bulk_run(seed, nbytes)
     return tb, {
-        "delivered": got[0],
+        "delivered": delivered,
         "time_ps": tb.engine.now,
         "retransmits": (client.tcb.retransmits, server.tcb.retransmits),
         "tx_frames": (tb.client_nic.tx_frames, tb.server_nic.tx_frames),
@@ -104,12 +83,11 @@ class TestCrossNodeTracing:
     def test_trace_context_is_cycle_and_byte_invariant(self):
         """Flipping telemetry on must not move a single simulated tick
         or byte — trace ids are sidecar metadata, never wire bytes."""
-        for substrate in ("fast", "legacy"):
-            with telemetry.session(enabled=False):
-                _, off = tcp_transfer(substrate=substrate)
-            with telemetry.session(enabled=True):
-                _, on = tcp_transfer(substrate=substrate)
-            assert on == off, f"telemetry changed the {substrate} run"
+        with telemetry.session(enabled=False):
+            _, off = tcp_transfer()
+        with telemetry.session(enabled=True):
+            _, on = tcp_transfer()
+        assert on == off, "telemetry changed the run"
 
     def test_trace_ids_deterministic_across_runs(self):
         traces = []
@@ -163,7 +141,7 @@ class TestSloPlane:
 
     def test_latency_rule_violations_are_counted_and_timestamped(self):
         with telemetry.session() as sess:
-            tb = make_an2_pair(engine=Engine(substrate="fast"))
+            tb = make_an2_pair()
             # an unmeetable latency SLO on the client: every write fires
             tb.client.telemetry.slo.add_rule(
                 SloRule("instant", max_latency_us=0.0))
@@ -200,7 +178,7 @@ class TestSloPlane:
 
     def test_retransmit_budget_rule_fires_under_chaos(self):
         with telemetry.session():
-            tb = make_an2_pair(engine=Engine(substrate="fast"))
+            tb = make_an2_pair()
             for node in (tb.client, tb.server):
                 node.telemetry.slo.add_rule(
                     SloRule("lossless", max_retransmits=0))
@@ -261,7 +239,7 @@ class TestFlightRecorder:
         leading up to the crash — the recorder lives in application
         memory, so ``Kernel.crash()`` cannot take it down."""
         with telemetry.session() as sess:
-            crash_tcp_transfer("fast", seed=31, nbytes=24_000)
+            crash_tcp_transfer(seed=31, nbytes=24_000)
             postmortems = sess.export_postmortems()
 
         assert postmortems, "the crash produced no post-mortem"
@@ -312,13 +290,12 @@ class TestFlightRecorder:
 
     def test_crash_run_observables_identical_with_telemetry(self):
         """Recorder + SLO + tracing wired through the crash path must
-        not move any observable, on either substrate."""
-        for substrate in ("fast", "legacy"):
-            with telemetry.session(enabled=False):
-                off = crash_tcp_transfer(substrate, seed=37, nbytes=24_000)
-            with telemetry.session(enabled=True):
-                on = crash_tcp_transfer(substrate, seed=37, nbytes=24_000)
-            assert on == off
+        not move any observable."""
+        with telemetry.session(enabled=False):
+            off = crash_tcp_transfer(seed=37, nbytes=24_000)
+        with telemetry.session(enabled=True):
+            on = crash_tcp_transfer(seed=37, nbytes=24_000)
+        assert on == off
 
 
 # ---------------------------------------------------------------------------
@@ -337,7 +314,7 @@ class TestSidecars:
         assert clean is None, "healthy run must not write a post-mortem"
 
         with telemetry.session() as sess:
-            crash_tcp_transfer("fast", seed=31, nbytes=24_000)
+            crash_tcp_transfer(seed=31, nbytes=24_000)
         path = write_postmortems(sess, "crashed",
                                  out=str(tmp_path / "crashed.json"))
         assert path is not None
@@ -346,7 +323,7 @@ class TestSidecars:
     def test_full_export_validates_with_slo_and_flight_blocks(self):
         checker = _load_checker("check_metrics_schema")
         with telemetry.session() as sess:
-            crash_tcp_transfer("fast", seed=31, nbytes=24_000)
+            crash_tcp_transfer(seed=31, nbytes=24_000)
             snap = sess.export_metrics(include_span_events=True)
             chrome = sess.export_chrome()
         assert checker.validate_metrics(snap) == []

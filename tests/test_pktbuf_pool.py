@@ -85,7 +85,7 @@ def test_in_flight_survives_kernel_crash_and_reboot(ncores, batch):
     contents, in-flight interrupts, batched per-core rx rings — and
     each reclaim must release its PacketBuf exactly once: the pool
     ledger balances after the flow recovers through the reboot."""
-    engine = Engine(substrate="fast")
+    engine = Engine()
     tb = make_an2_pair(engine=engine, ncores=ncores, rx_batch=batch)
     cstack, sstack = make_stacks(tb)
     client, server = tcp_pair(cstack, sstack, rto_us=20_000.0)

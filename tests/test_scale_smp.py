@@ -4,12 +4,12 @@ The SMP model adds three stages in front of the Section-V delivery
 hierarchy — an application-definable RSS dispatch step between DMA and
 DPF classification, per-core rx rings, and a batched NIC→kernel
 handoff — and all of it must stay deterministic: the same workload
-steers identically on both simulation substrates, so the fast/legacy
-digest comparison keeps holding under per-core interleaving.
+steers identically on every run, so the SMP worlds match their
+committed golden digests (``tests/golden/scale.json``,
+``tests/golden/smp_lossy_cc.json``) under per-core interleaving.
 """
 
 import os
-import sys
 
 import pytest
 
@@ -24,13 +24,9 @@ from repro.net.udp import UdpSocket
 from repro.sim.engine import DEFAULT_TIMER_HORIZON_US, Engine
 from repro.sim.queues import CalendarQueue
 from repro.sim.units import CYCLE_PS
-
-sys.path.insert(0, os.path.join(
-    os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-    "benchmarks",
-))
-
-from bench_scale import ScaleWorld  # noqa: E402
+from tests import golden
+from tests.test_determinism import scale_record, scale_world
+from tests.test_faults import tcp_bulk_run
 
 
 # -- the deterministic hash and flow identity -------------------------------
@@ -100,7 +96,7 @@ def test_rss_dispatcher_is_pluggable_like_a_dpf_filter():
         def select_core(self, key, frame):
             return self.ncores - 1
 
-    engine = Engine(substrate="fast")
+    engine = Engine()
     tb = make_an2_pair(engine=engine, ncores=4)
     tb.server_nic.set_rss(AllToLast(1))  # rebind re-homes it to 4 cores
     assert tb.server_nic.rss.ncores == 4
@@ -134,64 +130,37 @@ def test_rss_dispatcher_is_pluggable_like_a_dpf_filter():
 
 # -- SMP worlds: identity, accounting, batching -----------------------------
 
-def _smp_world(substrate, cores, batch=None):
-    world = ScaleWorld(substrate, pairs=2, flows=6, rounds=3, size=1024,
-                       cores=cores, batch=batch)
-    world.run()
-    return world
+def smp_world(cores):
+    return scale_world(pairs=2, flows=6, rounds=3, size=1024, cores=cores)
 
 
-@pytest.mark.parametrize("cores", [2, 4])
+@pytest.mark.parametrize("cores", [1, 2, 4])
 def test_smp_substrates_produce_identical_observables(cores):
-    """The tentpole invariant: RSS + per-core rings + batching must not
-    open daylight between the fast and legacy engines."""
-    fast = _smp_world("fast", cores)
-    legacy = _smp_world("legacy", cores)
-    assert fast.rt_ps == legacy.rt_ps
-    assert fast.digest() == legacy.digest()
+    """The tentpole invariant: RSS + per-core rings + batching keep the
+    world on its golden digest at every core count."""
+    golden.check("scale", f"smp{cores}", scale_record(smp_world(cores)))
 
 
-def _smp_lossy_cc(substrate, cores, nbytes=32_000):
-    """A lossy TCP transfer on an ``ncores`` node pair; returns the
-    delivered digest plus both ends' congestion-event digests."""
+def smp_lossy_cc(cores):
+    """Golden record of a lossy TCP transfer on an ``ncores`` node pair:
+    the delivered digest plus both ends' congestion-event digests."""
     import hashlib
-    import random as _random
 
-    from repro.net.socket_api import make_stacks, tcp_pair
-
-    tb = make_an2_pair(engine=Engine(substrate=substrate), ncores=cores)
-    cstack, sstack = make_stacks(tb)
-    client, server = tcp_pair(cstack, sstack, rto_us=20_000.0)
-    plane = tb.attach_fault_plane(seed=42)
-    plane.impair_link(tb.link, drop=0.1, skip_first=3)
-    data = bytes(_random.Random(42).randrange(256) for _ in range(nbytes))
-    got = []
-
-    def server_body(proc):
-        yield from server.accept(proc)
-        got.append((yield from server.read(proc, nbytes)))
-        yield from server.write(proc, b"done")
-
-    def client_body(proc):
-        yield from client.connect(proc)
-        yield from client.write(proc, data)
-        assert (yield from client.read(proc, 4)) == b"done"
-        yield from client.linger(proc, duration_us=2_000_000.0)
-
-    tb.server_kernel.spawn_process("server", server_body)
-    tb.client_kernel.spawn_process("client", client_body)
-    tb.run()
-    assert got and got[0] == data
-    return (hashlib.sha256(got[0]).hexdigest(),
-            client.congestion_digest(), server.congestion_digest())
+    tb, client, server, delivered = tcp_bulk_run(
+        42, 32_000, ncores=cores, knobs=dict(drop=0.1))
+    obs = (hashlib.sha256(delivered).hexdigest(),
+           client.congestion_digest(), server.congestion_digest())
+    return golden.record(
+        obs, time_ps=tb.engine.now,
+        retransmits=(client.tcb.retransmits, server.tcb.retransmits))
 
 
 @pytest.mark.parametrize("cores", [1, 2, 4])
 def test_congestion_evolution_substrate_identical_under_smp(cores):
     """cwnd/ssthresh evolution (every grow, recovery, RTO and backoff
-    event, timestamped) and SACK behaviour must stay bit-identical
-    between substrates with RSS + per-core rings in the path."""
-    assert _smp_lossy_cc("fast", cores) == _smp_lossy_cc("legacy", cores)
+    event, timestamped) and SACK behaviour stay on their golden with
+    RSS + per-core rings in the path."""
+    golden.check("smp_lossy_cc", f"cores{cores}", smp_lossy_cc(cores))
 
 
 def test_canonical_sidecar_steered_sums_to_rx_frames():
@@ -225,7 +194,7 @@ def test_canonical_sidecar_steered_sums_to_rx_frames():
 def test_steered_frames_sum_to_rx_frames():
     """Every successfully DMA'd frame passes the dispatch stage exactly
     once: per-core steered counters sum to the NIC's rx_frames."""
-    world = _smp_world("fast", cores=4)
+    world = smp_world(4)
     for tb in world.testbeds:
         for node in (tb.client, tb.server):
             for nic in node.nics.values():
@@ -234,14 +203,14 @@ def test_steered_frames_sum_to_rx_frames():
 
 
 def test_multicore_shrinks_the_makespan():
-    one = _smp_world("fast", cores=1)
-    four = _smp_world("fast", cores=4)
+    one = smp_world(1)
+    four = smp_world(4)
     assert four.finish_ps < one.finish_ps
     assert four.rt_ps != one.rt_ps  # genuinely a different schedule
 
 
 def test_batched_handoff_telemetry_and_ring_peaks():
-    engine = Engine(substrate="fast")
+    engine = Engine()
     tb = make_an2_pair(engine=engine, ncores=2, rx_batch=4)
     for node in (tb.client, tb.server):
         node.telemetry.enable()
@@ -288,7 +257,7 @@ def test_batched_handoff_telemetry_and_ring_peaks():
 def test_single_core_default_keeps_direct_handoff():
     """ncores=1 without an explicit batch keeps the exact pre-SMP event
     schedule: no rings, one interrupt event per frame."""
-    engine = Engine(substrate="fast")
+    engine = Engine()
     tb = make_an2_pair(engine=engine)
     assert not tb.client_nic.batched
     assert tb.client_nic.rx_batch == 1
@@ -299,9 +268,7 @@ def test_single_core_default_keeps_direct_handoff():
 @pytest.mark.slow
 def test_hundreds_of_nodes_smp_world():
     """The ISSUE-scale world: 100 nodes, 1000 flows, 4 cores each."""
-    world = ScaleWorld("fast", pairs=50, flows=20, rounds=1, size=256,
-                       cores=4)
-    world.run()
+    world = scale_world(pairs=50, flows=20, rounds=1, size=256, cores=4)
     assert all(world.done)
     total_rx = total_steered = 0
     for tb in world.testbeds:
@@ -315,7 +282,7 @@ def test_hundreds_of_nodes_smp_world():
 # -- bind(): the one-step NIC attach ----------------------------------------
 
 def test_bind_rejects_second_node():
-    engine = Engine(substrate="fast")
+    engine = Engine()
     n1 = Node(engine, "n1", CAL)
     n2 = Node(engine, "n2", CAL)
     nic = An2Nic(engine, CAL, n1.memory, "an2")
@@ -327,7 +294,7 @@ def test_bind_rejects_second_node():
 
 
 def test_bind_rejects_foreign_memory():
-    engine = Engine(substrate="fast")
+    engine = Engine()
     n1 = Node(engine, "n1", CAL)
     n2 = Node(engine, "n2", CAL)
     nic = An2Nic(engine, CAL, n1.memory, "an2")
@@ -338,7 +305,7 @@ def test_bind_rejects_foreign_memory():
 def test_bind_rejects_nic_that_carried_traffic_unbound():
     """The failure mode bind() exists to kill: a NIC that moved frames
     before attach was silently running with telemetry=None."""
-    engine = Engine(substrate="fast")
+    engine = Engine()
     node = Node(engine, "n1", CAL)
     a = An2Nic(engine, CAL, node.memory, "a")
     b = An2Nic(engine, CAL, node.memory, "b")
@@ -370,7 +337,7 @@ def test_default_horizon_covers_tcp_backoff():
     so the layering is enforced here by cross-checking the constants)."""
     from repro.net.tcp.tcp import MAX_RTO_BACKOFF, RTO_US
     assert DEFAULT_TIMER_HORIZON_US >= RTO_US * MAX_RTO_BACKOFF
-    qstats = Engine(substrate="fast").stats()["queue"]
+    qstats = Engine().stats()["queue"]
     assert qstats["width"] * qstats["nbuckets"] >= \
         int(DEFAULT_TIMER_HORIZON_US * 1_000_000)
 
@@ -389,5 +356,5 @@ def test_sized_wheel_absorbs_long_timers_without_spilling():
     assert narrow.stats()["overflow_spills"] > 0
     assert sized.stats()["overflow_spills"] == 0
     # and the sized wheel pops in the same order
-    order = [sized.pop()[1] for _ in range(64)]
+    order = [sized.pop_due()[1] for _ in range(64)]
     assert order == sorted(order)

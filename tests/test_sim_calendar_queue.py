@@ -1,9 +1,10 @@
 """CalendarQueue vs HeapEventQueue: pop-order equivalence.
 
-The fast substrate swaps the engine's single binary heap for a calendar
-queue (bucketed wheel + far-future overflow heap).  Everything above the
-queue assumes pops arrive in exactly ``(at, seq)`` order — these tests
-pin that equivalence under randomized schedules, including same-tick
+The engine's queue is a calendar queue (bucketed wheel + far-future
+overflow heap); :class:`HeapEventQueue`, a plain binary heap, is the
+reference it is checked against.  Everything above the queue assumes
+pops arrive in exactly ``(at, seq)`` order — these tests pin that
+equivalence under randomized schedules, including same-tick
 ties, interleaved push/pop, cancellation (tombstones vs true bucket
 removal), and entries far beyond the wheel window.
 """

@@ -1,18 +1,20 @@
 """Tier-1 gate: the unified chaos-sweep driver's smoke corner.
 
 ``benchmarks/sweep_driver.py --smoke`` runs a small corner of the full
-workload × fault-scenario × substrate grid (tcp_bulk, canary and the
-two-tenant noisy-neighbor cell; clean and crashed; fast and legacy)
-and must produce a schema-clean document whose every summary gate
-holds: bit-identity across substrates, zero order violations, correct
+workload × fault-scenario grid (tcp_bulk, canary and the two-tenant
+noisy-neighbor cell; clean and crashed) and must produce a schema-clean
+document whose every summary gate holds: zero order violations, correct
 rollout verdicts, every crash recovered within its pinned
 recovery-latency bound, zero canary losses, and the protected victim
-inside its pinned isolation bound.
+inside its pinned isolation bound.  Each cell's observables digest must
+match its committed golden (``tests/golden/sweep_smoke.json``).
 """
 
 import importlib.util
 import json
 import os
+
+from tests import golden
 
 
 def _load_driver():
@@ -26,6 +28,19 @@ def _load_driver():
     return mod
 
 
+def sweep_smoke_records(doc: dict) -> dict:
+    """Golden records of a smoke document, keyed workload/scenario: the
+    driver's per-cell observables digest plus two diagnostic scalars."""
+    return {
+        f"{cell['workload']}/{cell['scenario']}": {
+            "sha256": cell["digest"],
+            "order_violations": cell["observables"]["order_violations"],
+            "recovery_us": cell["observables"].get("recovery_us"),
+        }
+        for cell in doc["grid"]
+    }
+
+
 def test_smoke_grid_green(tmp_path):
     driver = _load_driver()
     out = tmp_path / "liveops_sweep_smoke.json"
@@ -35,16 +50,20 @@ def test_smoke_grid_green(tmp_path):
     assert driver.validate_doc(doc) == []
     assert doc["schema"] == driver.SCHEMA
     assert doc["quick"] is True
+    # every cell reproduces its golden observables digest
+    records = sweep_smoke_records(doc)
+    assert sorted(records) == sorted(golden.load("sweep_smoke"))
+    for key, rec in records.items():
+        golden.check("sweep_smoke", key, rec)
     summary = doc["summary"]
-    assert summary["all_identical"]
     assert summary["zero_order_violations"]
     assert summary["all_rollouts_correct"]
     assert summary["all_crashes_recovered"]
     assert summary["all_recoveries_within_bounds"]
     assert summary["zero_canary_losses"]
     assert summary["all_isolation_within_bounds"]
-    # the smoke corner still exercises every workload, both substrates,
-    # and at least one crash scenario per crashable workload
+    # the smoke corner still exercises every workload and at least one
+    # crash scenario per crashable workload
     workloads = {cell["workload"] for cell in doc["grid"]}
     scenarios = {cell["scenario"] for cell in doc["grid"]}
     assert workloads == {"tcp_bulk", "canary", "tenant"}

@@ -7,51 +7,20 @@ the plane seed and the frame sequence, so every seed reproduces its
 loss pattern exactly.
 """
 
-import random
-
 import pytest
 
-from repro.bench.testbed import make_an2_pair
-from repro.net.socket_api import make_stacks, tcp_pair
-
-#: long enough to answer retransmissions arriving at the fully
-#: backed-off cadence (MAX_RTO_BACKOFF * rto_us) several times over
-LINGER_US = 2_000_000.0
+from tests.test_faults import tcp_bulk_run
 
 
 def run_lossy_transfer(seed: int, loss_rate: float, nbytes: int,
                        use_ash: bool = False) -> bytes:
-    """Transfer nbytes under random loss; returns what the server got."""
-    tb = make_an2_pair()
-    cstack, sstack = make_stacks(tb)
-    client, server = tcp_pair(cstack, sstack, rto_us=20_000.0)
-    plane = tb.attach_fault_plane(seed=seed)
-    # keep the handshake reliable so sessions always establish
-    plane.impair_link(tb.link, drop=loss_rate, skip_first=3)
-    data = bytes(random.Random(seed).randrange(256) for _ in range(nbytes))
-    got = []
-
-    def server_body(proc):
-        yield from server.accept(proc)
-        if use_ash:
-            server.install_fastpath(kind="ash")
-        got.append((yield from server.read(proc, nbytes)))
-        yield from server.write(proc, b"done")
-
-    def client_body(proc):
-        yield from client.connect(proc)
-        yield from client.write(proc, data)
-        reply = yield from client.read(proc, 4)
-        assert reply == b"done"
-        # the reply's ack may have been lost: answer retransmissions
-        yield from client.linger(proc, duration_us=LINGER_US)
-
-    tb.server_kernel.spawn_process("server", server_body)
-    tb.client_kernel.spawn_process("client", client_body)
-    tb.run()
-    assert plane.total("drop") > 0, "loss pattern never fired"
-    assert got and got[0] == data
-    return got[0]
+    """Transfer nbytes under random loss; returns what the server got
+    (``tcp_bulk_run`` checks it byte for byte)."""
+    tb, _client, _server, got = tcp_bulk_run(
+        seed, nbytes, knobs=dict(drop=loss_rate),
+        mode="ash" if use_ash else None)
+    assert tb.fault_plane.total("drop") > 0, "loss pattern never fired"
+    return got
 
 
 @pytest.mark.parametrize("seed", [1, 7, 42, 1337])

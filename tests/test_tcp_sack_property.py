@@ -4,18 +4,17 @@ Pure-structure properties of the sender scoreboard and the receiver
 reassembly queue under randomized schedules, then end-to-end properties
 of the wired-up engine under FaultPlane drop/reorder/duplicate
 schedules: no reneging, coalesced SACK blocks, selective (not
-go-back-N) retransmission, and bit-identical congestion-control event
-streams across substrates.
+go-back-N) retransmission, and congestion-control event streams pinned
+to committed golden digests (``tests/golden/cc_digest.json``).
 """
 
 import random
 
 import pytest
 
-from repro.bench.testbed import make_an2_pair
-from repro.net.socket_api import make_stacks, tcp_pair
 from repro.net.tcp.sack import ReassemblyQueue, SackScoreboard
-from repro.sim.engine import Engine
+from tests import golden
+from tests.test_faults import tcp_bulk_run
 
 MSS = 1000
 
@@ -180,30 +179,8 @@ def test_reassembly_refuses_beyond_limit_without_reneging():
 
 # -- end-to-end under FaultPlane schedules ----------------------------------
 
-def _lossy_run(substrate, seed, nbytes=40_000, **impair):
-    tb = make_an2_pair(engine=Engine(substrate=substrate))
-    cstack, sstack = make_stacks(tb)
-    client, server = tcp_pair(cstack, sstack, rto_us=20_000.0)
-    plane = tb.attach_fault_plane(seed=seed)
-    plane.impair_link(tb.link, skip_first=3, **impair)
-    data = bytes(random.Random(seed).randrange(256) for _ in range(nbytes))
-    got = []
-
-    def server_body(proc):
-        yield from server.accept(proc)
-        got.append((yield from server.read(proc, nbytes)))
-        yield from server.write(proc, b"done")
-
-    def client_body(proc):
-        yield from client.connect(proc)
-        yield from client.write(proc, data)
-        assert (yield from client.read(proc, 4)) == b"done"
-        yield from client.linger(proc, duration_us=2_000_000.0)
-
-    tb.server_kernel.spawn_process("server", server_body)
-    tb.client_kernel.spawn_process("client", client_body)
-    tb.run()
-    assert got and got[0] == data
+def _lossy_run(seed, nbytes=40_000, **impair):
+    _tb, client, server, _ = tcp_bulk_run(seed, nbytes, knobs=impair)
     return client, server
 
 
@@ -214,7 +191,7 @@ def test_sack_transfer_intact_under_impairment(impair):
     """Selective repair under drop / reorder / duplicate schedules
     delivers the exact byte stream, and the recovery machinery (not
     go-back-N floods) does the repairing."""
-    client, server = _lossy_run("fast", seed=7, **impair)
+    client, server = _lossy_run(seed=7, **impair)
     tcb = client.tcb
     if "drop" in impair:
         assert tcb.fast_retransmits + tcb.retransmits >= 1
@@ -229,30 +206,39 @@ def test_selective_retransmit_skips_sacked_segments():
     skip them (the selective_rexmits counter) on a heavy-drop run."""
     hits = 0
     for seed in (5, 7, 13, 42):
-        client, _server = _lossy_run("fast", seed=seed, nbytes=48_000,
+        client, _server = _lossy_run(seed=seed, nbytes=48_000,
                                      drop=0.2)
         hits += client.tcb.selective_rexmits
     assert hits > 0
 
 
 def test_congestion_digest_repeatable():
-    a, _ = _lossy_run("fast", seed=42, drop=0.12)
-    b, _ = _lossy_run("fast", seed=42, drop=0.12)
+    a, _ = _lossy_run(seed=42, drop=0.12)
+    b, _ = _lossy_run(seed=42, drop=0.12)
     assert a.congestion_digest() == b.congestion_digest()
     assert a.cc_events  # the digest covers a non-empty event stream
 
 
-@pytest.mark.parametrize("impair", [
-    {"drop": 0.12}, {"reorder": 0.3}, {"duplicate": 0.2},
-])
+#: impairment schedules whose congestion digests are pinned in
+#: ``tests/golden/cc_digest.json`` (keyed by the impairment name)
+CC_IMPAIRMENTS = [{"drop": 0.12}, {"reorder": 0.3}, {"duplicate": 0.2}]
+
+
+def cc_record(impair: dict) -> dict:
+    """Golden record of the seed-42 lossy run under ``impair``."""
+    client, server = _lossy_run(seed=42, **impair)
+    tcb = client.tcb
+    return golden.record(
+        (client.congestion_digest(), server.congestion_digest()),
+        retransmits=tcb.retransmits,
+        fast_retransmits=tcb.fast_retransmits,
+        sack_blocks_rx=tcb.sack_blocks_rx,
+    )
+
+
+@pytest.mark.parametrize("impair", CC_IMPAIRMENTS)
 def test_congestion_digest_substrate_identical(impair):
     """The cwnd/ssthresh evolution — every grow, fast-recovery,
-    RTO and backoff event with its virtual timestamp — must be
-    bit-identical between the fast and legacy substrates."""
-    fc, fs = _lossy_run("fast", seed=42, **impair)
-    lc, ls = _lossy_run("legacy", seed=42, **impair)
-    assert fc.congestion_digest() == lc.congestion_digest()
-    assert fs.congestion_digest() == ls.congestion_digest()
-    assert fc.tcb.retransmits == lc.tcb.retransmits
-    assert fc.tcb.fast_retransmits == lc.tcb.fast_retransmits
-    assert fc.tcb.sack_blocks_rx == lc.tcb.sack_blocks_rx
+    RTO and backoff event with its virtual timestamp — matches the
+    golden."""
+    golden.check("cc_digest", "_".join(impair), cc_record(impair))

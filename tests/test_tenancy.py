@@ -7,8 +7,9 @@ oversized/unverifiable installs, a crash-looping handler, a runtime
 cycle hog, a tenant crash), a multi-tenant world with the abuse applied
 must leave every *other* tenant's observables — flow digests, TCP
 congestion digests, latencies, counters, and the victims' own tenant
-telemetry — **bit-identical** to the unperturbed run, on both
-simulation substrates and at 1/2/4 SMP cores.  Alongside it: unit
+telemetry — **bit-identical** to the unperturbed run at 1/2/4 SMP
+cores, and the perturbed world stays on its committed golden digest
+(``tests/golden/tenancy.json``).  Alongside it: unit
 coverage of the quota knobs, the token bucket, the checked degradation
 order (throttle -> defer-refill -> drop), the crash-loop breakers, and
 the goodput-isolation gate behind ``BENCH_tenancy.json``.
@@ -34,8 +35,8 @@ from repro.bench.workloads import (
 from repro.errors import SandboxViolation
 from repro.hw.link import Frame
 from repro.sandbox.rewriter import BudgetPolicy, SandboxPolicy
-from repro.sim.engine import Engine
 from repro.sim.units import us
+from tests import golden
 
 STATIC = SandboxPolicy(budget=BudgetPolicy.STATIC_ESTIMATE)
 
@@ -322,29 +323,30 @@ def test_crash_tenant_drops_dead_pre_dma_and_removes_boot_records():
 @pytest.mark.parametrize("scenario", TENANT_SCENARIOS)
 def test_containment_matrix(scenario):
     """One tenant is abused; every other tenant's observables are
-    bit-identical to the unperturbed run — per substrate, per core
-    count.  This is the noisy-neighbor containment proof."""
-    for substrate in ("fast", "legacy"):
-        for ncores in (1, 2, 4):
-            base = tenant_world(scenario=scenario, substrate=substrate,
-                                ncores=ncores, perturbed=False)
-            pert = tenant_world(scenario=scenario, substrate=substrate,
-                                ncores=ncores, perturbed=True)
-            assert pert["ledger"], (scenario, substrate, ncores)
-            assert base["victims"] == pert["victims"], (
-                scenario, substrate, ncores)
-            assert base["order_violations"] == 0
-            assert pert["order_violations"] == 0
+    bit-identical to the unperturbed run — per core count.  This is the noisy-neighbor containment proof."""
+    for ncores in (1, 2, 4):
+        base = tenant_world(scenario=scenario, ncores=ncores,
+                            perturbed=False)
+        pert = tenant_world(scenario=scenario, ncores=ncores,
+                            perturbed=True)
+        assert pert["ledger"], (scenario, ncores)
+        assert base["victims"] == pert["victims"], (scenario, ncores)
+        assert base["order_violations"] == 0
+        assert pert["order_violations"] == 0
+
+
+def tenant_record(scenario: str) -> dict:
+    """Golden record of the perturbed one-core ``tenant_world``."""
+    out = tenant_world(scenario=scenario)
+    return golden.record({"victims": out["victims"], "ledger": out["ledger"]},
+                         ledger=out["ledger"])
 
 
 @pytest.mark.parametrize("scenario", TENANT_SCENARIOS)
 def test_victim_observables_substrate_identical(scenario):
-    """The perturbed world itself is substrate-deterministic: victims
-    (and the fault ledger) match bit-for-bit on fast vs legacy."""
-    fast = tenant_world(scenario=scenario, substrate="fast")
-    legacy = tenant_world(scenario=scenario, substrate="legacy")
-    assert fast["victims"] == legacy["victims"]
-    assert fast["ledger"] == legacy["ledger"]
+    """The perturbed world itself is deterministic: victims and the
+    fault ledger match the golden bit for bit."""
+    golden.check("tenancy", scenario, tenant_record(scenario))
 
 
 def test_noisy_neighbor_goodput_gate():
