@@ -20,19 +20,22 @@ Workloads:
 * ``dilp_fused`` — a composed copy+cksum+xor pipe loop via ``run_vm``
   (the fused DILP loop the pipe compiler pre-translates).
 
-Engines measured per workload: ``interp``, ``jit`` with a warm code
-cache, and ``jit`` cold (code cache cleared before every run, so the
-rate includes translation).  Results land in ``BENCH_jit.json`` at the
-repo root; ``--quick`` shrinks iteration counts for CI smoke runs.
+Engines measured per workload: ``interp`` (JIT translation forced to
+fail, so ``Vm.run`` takes its interpreter path), ``jit`` with a warm
+code cache, and ``jit`` cold (code cache cleared before every run, so
+the rate includes translation).  Results land in ``BENCH_jit.json`` at
+the repo root; ``--quick`` shrinks iteration counts for CI smoke runs.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
 import time
+from unittest import mock
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)),
                                 os.pardir, "src"))
@@ -92,10 +95,10 @@ class HandlerInvocations(Workload):
         self.regs = [0] * 32
         self.env = _env()
 
-    def run(self, engine: str) -> int:
+    def run(self) -> int:
         res = self.vm.run(
             self.program, args=(MSG, 4, CTX), regs=self.regs, env=self.env,
-            cycle_budget=BUDGET, allowed=ALLOWED, engine=engine,
+            cycle_budget=BUDGET, allowed=ALLOWED,
         )
         return res.cycles
 
@@ -117,10 +120,10 @@ class PacketsPerSec(Workload):
             + (5003).to_bytes(2, "big") + bytes(16)
         self.handler = HandlerInvocations(iters)
 
-    def run(self, engine: str) -> int:
+    def run(self) -> int:
         fid, _cost = self.dpf.classify(self.packet)
         assert fid is not None
-        return self.handler.run(engine)
+        return self.handler.run()
 
 
 class Checksum1K(Workload):
@@ -130,10 +133,8 @@ class Checksum1K(Workload):
         self.mem = _machine()
         self.vm = Vm(self.mem, cache=DirectMappedCache(DEFAULT), cal=DEFAULT)
 
-    def run(self, engine: str) -> int:
-        return self.vm.run(
-            self.program, args=(0x100, 0, 1024), engine=engine
-        ).cycles
+    def run(self) -> int:
+        return self.vm.run(self.program, args=(0x100, 0, 1024)).cycles
 
 
 class DilpFused(Workload):
@@ -145,9 +146,8 @@ class DilpFused(Workload):
         self.pipeline = compile_pl(pl, PIPE_WRITE, cal=DEFAULT)
         self.mem = _machine()
 
-    def run(self, engine: str) -> int:
-        vm = Vm(self.mem, cache=DirectMappedCache(DEFAULT), cal=DEFAULT,
-                engine=engine)
+    def run(self) -> int:
+        vm = Vm(self.mem, cache=DirectMappedCache(DEFAULT), cal=DEFAULT)
         return self.pipeline.run_vm(vm, 0x100, 0x800, 512).cycles
 
 
@@ -162,27 +162,31 @@ def _rate(workload: Workload, engine: str, *, cold: bool = False) -> tuple[float
     workloads.  Cold runs must exclude the harness's cache clear, so
     they time per-iteration — translation dwarfs the timer there.
     """
-    if cold:
-        iters = max(1, workload.iters // 10)
-        cycles = 0
-        elapsed = 0.0
-        for _ in range(iters):
-            jit.clear_code_cache()
+    # "interp" makes every translation fail (get_compiled returns None),
+    # so Vm.run falls back to the reference interpreter
+    with (mock.patch.object(jit, "get_compiled", lambda *a, **k: None)
+          if engine == "interp" else contextlib.nullcontext()):
+        if cold:
+            iters = max(1, workload.iters // 10)
+            cycles = 0
+            elapsed = 0.0
+            for _ in range(iters):
+                jit.clear_code_cache()
+                t0 = time.perf_counter()
+                cycles += workload.run()
+                elapsed += time.perf_counter() - t0
+            return iters / elapsed, cycles
+        workload.run()  # warm-up (and warm the code cache)
+        iters = workload.iters
+        best = 0.0
+        for _ in range(REPS):
+            cycles = 0
             t0 = time.perf_counter()
-            cycles += workload.run(engine)
-            elapsed += time.perf_counter() - t0
-        return iters / elapsed, cycles
-    workload.run(engine)  # warm-up (and warm the code cache)
-    iters = workload.iters
-    best = 0.0
-    for _ in range(REPS):
-        cycles = 0
-        t0 = time.perf_counter()
-        for _ in range(iters):
-            cycles += workload.run(engine)
-        elapsed = time.perf_counter() - t0
-        best = max(best, iters / elapsed)
-    return best, cycles
+            for _ in range(iters):
+                cycles += workload.run()
+            elapsed = time.perf_counter() - t0
+            best = max(best, iters / elapsed)
+        return best, cycles
 
 
 def bench(quick: bool) -> dict:

@@ -8,29 +8,25 @@ optimize this executable code.  DPF is an order of magnitude faster than
 the highest performance packet filter engines in the literature."
 
 A filter is a conjunction of masked comparisons against packet bytes.
-Inserting it compiles a dedicated Python function (our stand-in for
-emitting machine code) with every offset and constant baked in; the
-interpreted engine — kept for the ablation benchmark — walks the
-predicate list instead.  The modelled demultiplex cost is ~1 µs
-compiled vs ~11 µs interpreted (the paper's order of magnitude).
-
-Beyond per-filter compilation, installed filters are merged into a
-shared **discrimination tree** on common predicate prefixes (DPF's
-"filters are merged into a prefix tree" idea, also PATHFINDER's): each
-level tests one ``(offset, size, mask)`` field and fans out on the
-field's value, so classifying a packet is a single tree walk instead of
-a linear scan over every installed filter.  Filters for the same
-protocol share their header-field tests and diverge only at, say, the
-port number — a hash lookup per level.  The *modelled* demux cost is
-unchanged (it is the paper's measured constant); the tree is a
-wall-clock optimization with identical match semantics: the most
-specific matching filter wins, earliest-inserted on ties.
+Compiled mode (the default) merges every installed filter into a shared
+**discrimination tree** on common predicate prefixes (DPF's "filters
+are merged into a prefix tree" idea, also PATHFINDER's): each level
+tests one ``(offset, size, mask)`` field and fans out on the field's
+value, so classifying a packet is a single tree walk instead of a
+linear scan over every installed filter.  Filters for the same protocol
+share their header-field tests and diverge only at, say, the port
+number — a hash lookup per level.  Interpreted mode — kept for the
+ablation benchmark — scans every filter's predicate list instead.  The
+modelled demultiplex cost is the paper's measured constant, ~1 µs
+compiled vs ~11 µs interpreted (an order of magnitude); the two modes
+have identical match semantics: the most specific matching filter wins,
+earliest-inserted on ties.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Optional
 
 from ..errors import DemuxError
 from ..hw.calibration import Calibration
@@ -52,6 +48,13 @@ class Predicate:
             raise DemuxError(f"predicate size must be 1/2/4, got {self.size}")
         if self.offset < 0:
             raise DemuxError("predicate offset must be non-negative")
+        if (self.value & self.mask) >> (8 * self.size):
+            # the tree keys on the field-width value, the scan compares
+            # the full one: such a predicate could never match a field
+            raise DemuxError(
+                f"predicate value {self.value:#x} & mask {self.mask:#x} is "
+                f"wider than its {self.size}-byte field"
+            )
 
     def matches(self, packet: bytes) -> bool:
         end = self.offset + self.size
@@ -63,39 +66,15 @@ class Predicate:
 
 @dataclass
 class Filter:
-    """A compiled filter: its predicates plus the generated matcher."""
+    """An installed filter: its id and predicate conjunction."""
 
     filter_id: int
     predicates: tuple[Predicate, ...]
-    compiled: Callable[[bytes], bool]
 
     @property
     def specificity(self) -> int:
         """Total bytes examined; more specific filters win ties."""
         return sum(p.size for p in self.predicates)
-
-
-def _compile(predicates: tuple[Predicate, ...]) -> Callable[[bytes], bool]:
-    """Generate and compile a dedicated matcher function.
-
-    This is the dynamic code generation step: constants are baked into
-    the source so the runtime does no table walking.
-    """
-    lines = ["def _match(p):"]
-    lines.append(f"    if len(p) < {max((q.offset + q.size for q in predicates), default=0)}:")
-    lines.append("        return False")
-    for q in predicates:
-        end = q.offset + q.size
-        lines.append(
-            f"    if (int.from_bytes(p[{q.offset}:{end}], 'big') & "
-            f"{q.mask & ((1 << (8 * q.size)) - 1)}) != "
-            f"{q.value & q.mask & ((1 << (8 * q.size)) - 1)}:"
-        )
-        lines.append("        return False")
-    lines.append("    return True")
-    namespace: dict = {}
-    exec("\n".join(lines), namespace)  # noqa: S102 - the DCG step
-    return namespace["_match"]
 
 
 def _norm_key(q: Predicate) -> tuple[int, int, int]:
@@ -182,7 +161,7 @@ class DpfEngine:
         preds = tuple(predicates)
         fid = self._next_id
         self._next_id += 1
-        filt = Filter(fid, preds, _compile(preds))
+        filt = Filter(fid, preds)
         self._filters[fid] = filt
         self._tree_insert(filt)
         tel = self.telemetry

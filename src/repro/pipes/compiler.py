@@ -213,9 +213,8 @@ class IntegratedPipeline:
         dst: int,
         nbytes: int,
     ) -> VmResult:
-        """Execute the emitted loop on the VM (JIT engine by default;
-        ``compile_pl`` pre-translates the loop so this hits the code
-        cache).  Pass ``Vm(engine="interp")`` for reference runs."""
+        """Execute the emitted loop on the VM (``compile_pl``
+        pre-translates the loop, so this hits the JIT code cache)."""
         self._check_args(nbytes)
         regs = [0] * 32
         for key, reg in self.state_regs.items():
@@ -268,20 +267,6 @@ class IntegratedPipeline:
             cycles += self._cache_stalls(cache, src, dst, nbytes)
         self._record(nbytes, cycles)
         return cycles
-
-    def run(
-        self,
-        mem: PhysicalMemory,
-        src: int,
-        dst: int,
-        nbytes: int,
-        cache: Optional[DirectMappedCache] = None,
-    ) -> int:
-        """Execute, preferring the fast path; returns cycles."""
-        if self.has_fast_path:
-            return self.run_fast(mem, src, dst, nbytes, cache)
-        vm = Vm(mem, cache=cache, cal=self.cal, telemetry=self.telemetry)
-        return self.run_vm(vm, src, dst, nbytes).cycles
 
 
 # ---------------------------------------------------------------------------

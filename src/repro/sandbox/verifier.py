@@ -90,11 +90,4 @@ def verify(program: Program, allow_convertible_signed: bool = True) -> VerifyRep
         if (op in BRANCH_OPS or op in JUMP_OPS) and insn.target is not None:
             if insn.target <= pc:
                 report.backward_branch_pcs.append(pc)
-    # The verifier is the shared forbidden-op gate for both execution
-    # engines: a program that passes with no (unconverted) forbidden
-    # instructions left is marked safe for JIT translation; the
-    # interpreter likewise consults Program.forbidden_pcs to skip its
-    # per-instruction check.
-    if not program.forbidden_pcs:
-        program.jit_safe = True
     return report

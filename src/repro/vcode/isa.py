@@ -135,10 +135,9 @@ class Program:
     #: are to code named by the pre-sandboxed address then they are
     #: translated and allowed to proceed").
     jump_map: Optional[dict[int, int]] = None
-    #: tri-state JIT verdict: None = unknown, True = verified/translated,
-    #: False = translation failed (the VM then sticks to the interpreter).
-    #: The sandbox verifier stamps this at download time.
-    jit_safe: Optional[bool] = None
+    #: cleared when JIT translation fails, so the VM stops retrying and
+    #: runs the program on the reference interpreter from then on
+    jit_safe: bool = True
 
     def __len__(self) -> int:
         return len(self.insns)
@@ -147,10 +146,11 @@ class Program:
     def forbidden_pcs(self) -> tuple[int, ...]:
         """Indices of forbidden (signed/FP) instructions, scanned once.
 
-        Both engines share this gate: the interpreter skips its
-        per-instruction forbidden check when the scan comes back empty,
-        and the JIT emits inline traps only at these pcs.  Valid because
-        a Program's instruction list is fixed after :func:`assemble`.
+        The interpreter and the JIT share this gate: the interpreter
+        skips its per-instruction forbidden check when the scan comes
+        back empty, and the JIT emits inline traps only at these pcs.
+        Valid because a Program's instruction list is fixed after
+        :func:`assemble`.
         """
         return tuple(
             pc for pc, insn in enumerate(self.insns)

@@ -290,7 +290,6 @@ def get_compiled(
     program.__dict__.setdefault("_jit_memo", {})[(has_cache, ak)] = (
         cal, compiled, _cache_epoch
     )
-    program.jit_safe = True
     return compiled
 
 

@@ -24,7 +24,6 @@ correctly.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from typing import Any, Callable, Optional
 
@@ -50,7 +49,7 @@ from .isa import (
     insn_cost,
 )
 
-__all__ = ["Vm", "VmResult", "TrustedCallContext", "ENGINES", "ENV_ENGINE"]
+__all__ = ["Vm", "VmResult", "TrustedCallContext"]
 
 from . import jit  # noqa: E402  (jit imports vm lazily; no cycle)
 
@@ -58,13 +57,6 @@ MASK32 = 0xFFFFFFFF
 
 #: hard cap on instructions for un-budgeted runs (unit tests, tools)
 DEFAULT_MAX_INSNS = 50_000_000
-
-#: valid execution engines; "jit" is the default (see README
-#: "Execution engines" — both produce bit-identical VmResults)
-ENGINES = ("jit", "interp")
-
-#: environment override for the default engine
-ENV_ENGINE = "REPRO_VCODE_ENGINE"
 
 
 @dataclass
@@ -117,33 +109,20 @@ def _bswap16(v: int) -> int:
 
 
 class Vm:
-    """Executes assembled VCODE programs (JIT by default, with a
-    reference interpreter for differential testing and deopt resume)."""
+    """Executes assembled VCODE programs: JIT-translated code, with the
+    reference interpreter as the deopt and translation-failure target."""
 
     def __init__(
         self,
         memory: PhysicalMemory,
         cache: Optional[DirectMappedCache] = None,
         cal: Calibration = DEFAULT,
-        engine: Optional[str] = None,
         telemetry=None,
     ):
         self.memory = memory
         self.cache = cache
         self.cal = cal
-        self.engine = engine
         self.telemetry = telemetry
-        # the environment default is stable for the Vm's lifetime; read
-        # it once instead of hitting os.environ on every run()
-        self._env_default = os.environ.get(ENV_ENGINE) or "jit"
-
-    def _resolve_engine(self, engine: Optional[str]) -> str:
-        eng = engine or self.engine or self._env_default
-        if eng not in ENGINES:
-            raise VcodeError(
-                f"unknown execution engine {eng!r} (expected one of {ENGINES})"
-            )
-        return eng
 
     def run(
         self,
@@ -154,7 +133,6 @@ class Vm:
         cycle_budget: Optional[int] = None,
         allowed: Optional[list[tuple[int, int]]] = None,
         max_insns: int = DEFAULT_MAX_INSNS,
-        engine: Optional[str] = None,
     ) -> VmResult:
         """Execute ``program`` and return a :class:`VmResult`.
 
@@ -164,12 +142,12 @@ class Vm:
         list the sandbox checks consult.  ``cycle_budget`` is the abort
         threshold (None = unlimited, for trusted code).
 
-        ``engine`` picks the execution engine: ``"jit"`` (default)
-        translates the program to native Python via
-        :mod:`repro.vcode.jit` and caches it; ``"interp"`` is the
-        reference interpreter.  Both produce bit-identical results; the
-        call-site argument overrides the ``Vm(engine=...)`` setting,
-        which overrides the ``REPRO_VCODE_ENGINE`` environment variable.
+        The program is translated to native Python by
+        :mod:`repro.vcode.jit` (cached by content) and run compiled.
+        When translation fails (``jit.get_compiled`` returns None) the
+        reference interpreter runs it instead, and when compiled code
+        deopts the interpreter resumes from its exact machine state;
+        either way the result is bit-identical.
         """
         if len(args) > 4:
             raise VcodeError("at most 4 register arguments")
@@ -183,10 +161,7 @@ class Vm:
         # interpreter resets it after every instruction, the JIT folds it
         # to the literal 0, and both assume it starts out as 0.
         regs[REG_ZERO] = 0
-        eng = engine or self.engine or self._env_default
-        if eng != "jit":
-            self._resolve_engine(eng)  # raises on unknown engines
-        elif program.jit_safe is not False:
+        if program.jit_safe:
             compiled = jit.get_compiled(
                 program, self.cal, self.cache is not None, self.telemetry,
                 allowed,

@@ -1,21 +1,20 @@
-"""The interpreter path must not rot now that the JIT is the default.
+"""The interpreter path must not rot now that the JIT always runs first.
 
-Engine-selection unit tests run in-process; the heavyweight check runs
-the VM-centric test modules in a subprocess with
-``REPRO_VCODE_ENGINE=interp`` so every pinned VM behavior is exercised
-through the reference interpreter as well.
+``Vm._interp`` is the JIT's deopt and translation-failure target.  The
+heavyweight check re-runs the VM-centric test modules in a subprocess
+under the ``tests.vm_reference`` plugin, which makes every translation
+fail, so every pinned VM behavior is exercised through the reference
+interpreter as well.
 """
 
 import os
 import subprocess
 import sys
 
-import pytest
-
-from repro.errors import VcodeError
 from repro.hw.memory import PhysicalMemory
+from repro.vcode import jit
 from repro.vcode.isa import Insn, assemble
-from repro.vcode.vm import ENV_ENGINE, Vm
+from repro.vcode.vm import Vm
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -28,56 +27,41 @@ VM_MODULES = [
 ]
 
 
-def _prog():
-    return assemble("probe", [Insn("li", rd=2, imm=9), Insn("ret")])
+def _prog(name="probe"):
+    return assemble(name, [Insn("li", rd=2, imm=9), Insn("ret")])
 
 
 def _vm():
     return Vm(PhysicalMemory(1 << 12))
 
 
-def test_engine_argument_overrides_everything(monkeypatch):
-    monkeypatch.setenv(ENV_ENGINE, "interp")
-    vm = Vm(PhysicalMemory(1 << 12), engine="interp")
-    assert vm.run(_prog(), engine="jit").value == 9
-    assert vm._resolve_engine("jit") == "jit"
-
-
-def test_vm_engine_overrides_env(monkeypatch):
-    monkeypatch.setenv(ENV_ENGINE, "jit")
-    vm = Vm(PhysicalMemory(1 << 12), engine="interp")
-    assert vm._resolve_engine(None) == "interp"
-
-
-def test_env_var_sets_default(monkeypatch):
-    monkeypatch.setenv(ENV_ENGINE, "interp")
-    assert _vm()._resolve_engine(None) == "interp"
-    monkeypatch.delenv(ENV_ENGINE)
-    assert _vm()._resolve_engine(None) == "jit"
-
-
-def test_unknown_engine_rejected():
-    with pytest.raises(VcodeError, match="unknown execution engine"):
-        _vm().run(_prog(), engine="llvm")
-
-
 def test_jit_unsafe_program_falls_back_to_interp():
     prog = _prog()
     prog.jit_safe = False   # e.g. a previous translation failure
-    assert _vm().run(prog, engine="jit").value == 9
+    assert _vm().run(prog).value == 9
+
+
+def test_translation_failure_marks_program_unsafe(monkeypatch):
+    def broken(*args, **kwargs):
+        raise jit.JitError("untranslatable")
+
+    monkeypatch.setattr(jit, "_translate", broken)
+    prog = _prog("untranslatable")   # a name no other test has cached
+    assert prog.jit_safe
+    assert _vm().run(prog).value == 9
+    assert not prog.jit_safe
 
 
 def test_vm_suite_passes_under_interpreter():
-    env = dict(os.environ, **{ENV_ENGINE: "interp"})
     proc = subprocess.run(
-        [sys.executable, "-m", "pytest", "-q", *VM_MODULES],
+        [sys.executable, "-m", "pytest", "-q", "-p", "tests.vm_reference",
+         *VM_MODULES],
         cwd=REPO_ROOT,
-        env=env,
         capture_output=True,
         text=True,
         timeout=600,
     )
     assert proc.returncode == 0, (
-        f"VM test modules fail under REPRO_VCODE_ENGINE=interp:\n"
+        f"VM test modules fail under -p tests.vm_reference:\n"
         f"{proc.stdout[-4000:]}\n{proc.stderr[-2000:]}"
     )

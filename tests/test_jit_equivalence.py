@@ -2,7 +2,8 @@
 
 Every program in the corpus (example handlers raw + sandboxed, the
 extension loops, DILP fused loops, targeted fault programs) and a few
-hundred fixed-seed randomized programs run under both engines on
+hundred fixed-seed randomized programs run compiled and, with JIT
+translation forced to fail, on the reference interpreter, both on
 identical machine state.  *Everything observable* must match: the
 VmResult (value, cycles, insns_executed, call_log with cycle offsets),
 the final register file, final memory contents, cache hit/miss
@@ -82,24 +83,30 @@ def _stub_env():
 
 
 def _observe(program, *, args=(), regs=None, budget=None, allowed=None,
-             max_insns=200_000, use_cache=True, engine="interp"):
-    """Run one engine on fresh state; return every observable output."""
+             max_insns=200_000, use_cache=True, reference=False):
+    """Run ``program`` on fresh state; return every observable output.
+
+    ``reference=True`` makes JIT translation fail (``get_compiled``
+    returns None), so ``Vm.run`` executes it on the interpreter.
+    """
     mem = _setup_memory()
     cache = DirectMappedCache(DEFAULT) if use_cache else None
     vm = Vm(mem, cache=cache, cal=DEFAULT)
     my_regs = list(regs) if regs is not None else None
     out = {}
     try:
-        res = vm.run(
-            program,
-            args=args,
-            regs=my_regs,
-            env=_stub_env(),
-            cycle_budget=budget,
-            allowed=allowed,
-            max_insns=max_insns,
-            engine=engine,
-        )
+        with pytest.MonkeyPatch.context() as mp:
+            if reference:
+                mp.setattr(jit, "get_compiled", lambda *a, **k: None)
+            res = vm.run(
+                program,
+                args=args,
+                regs=my_regs,
+                env=_stub_env(),
+                cycle_budget=budget,
+                allowed=allowed,
+                max_insns=max_insns,
+            )
         out["ok"] = True
         out["value"] = res.value
         out["cycles"] = res.cycles
@@ -121,8 +128,8 @@ def _observe(program, *, args=(), regs=None, budget=None, allowed=None,
 
 
 def assert_equivalent(program, **kwargs):
-    a = _observe(program, engine="interp", **kwargs)
-    b = _observe(program, engine="jit", **kwargs)
+    a = _observe(program, reference=True, **kwargs)
+    b = _observe(program, **kwargs)
     assert a == b, (
         f"{program.name}: engines diverge\n"
         + "\n".join(
@@ -165,7 +172,7 @@ def test_example_handlers_sandboxed(builder):
 
 def test_remote_increment_semantics_preserved_under_jit():
     prog = build_remote_increment()
-    out = _observe(prog, args=(MSG, 4, CTX), allowed=ALLOWED, engine="jit")
+    out = _observe(prog, args=(MSG, 4, CTX), allowed=ALLOWED)
     assert out["ok"]
     # counter 41 += 1234 from the message
     assert int.from_bytes(out["memory"][COUNTER:COUNTER + 4], "little") == 1275
@@ -436,9 +443,9 @@ def test_jit_actually_compiles_and_caches():
     jit.clear_code_cache()
     jit.stats.reset()
     prog = build_checksum()
-    _observe(prog, args=(0x100, 0x800, 256), engine="jit")
+    _observe(prog, args=(0x100, 0x800, 256))
     assert jit.stats.misses == 1 and jit.code_cache_size() == 1
-    _observe(prog, args=(0x100, 0x800, 256), engine="jit")
+    _observe(prog, args=(0x100, 0x800, 256))
     assert jit.stats.hits == 1 and jit.code_cache_size() == 1
 
 

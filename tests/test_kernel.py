@@ -73,6 +73,65 @@ class TestDpf:
         with pytest.raises(DemuxError):
             Predicate(offset=0, size=3, value=0)
 
+    def test_value_wider_than_field_rejected(self):
+        from repro.errors import DemuxError
+
+        # the tree would match 0x1FF against an 0xFF byte; the scan never
+        with pytest.raises(DemuxError, match="wider than its 1-byte field"):
+            Predicate(offset=0, size=1, value=0x1FF)
+        with pytest.raises(DemuxError):
+            Predicate(offset=2, size=2, value=0x12345, mask=0xFFFFF)
+        # bits above the field that the mask clears are harmless
+        Predicate(offset=0, size=1, value=0x1FF, mask=0xFF)
+        Predicate(offset=0, size=2, value=0x0800)   # default 32-bit mask
+
+    def test_tree_agrees_with_linear_scan(self):
+        """Randomized differential check: the discrimination tree
+        (compiled mode) and the predicate scan (interpreted mode) pick
+        the same filter for every packet, across inserts and removes."""
+        import random
+
+        rng = random.Random(1996)
+        masks = {1: [0xFF, 0xF0, 0x0F, 0x01],
+                 2: [0xFFFF, 0xFF00, 0x0FF0, 0x8001],
+                 4: [0xFFFFFFFF, 0xFFFF0000, 0x00FFFF00]}
+        scan = DpfEngine(Calibration())
+        scan.compiled_mode = False
+
+        def random_predicate():
+            # few offsets and values so filters overlap and share prefixes
+            size = rng.choice((1, 2, 4))
+            mask = rng.choice(masks[size] + [0xFFFFFFFF])
+            value = rng.choice((0, 0xFF, 0x0F, rng.getrandbits(8 * size)))
+            return Predicate(offset=rng.randrange(6), size=size,
+                             value=value & mask, mask=mask)
+
+        def random_packet():
+            # short packets end inside predicates; bytes from a small
+            # alphabet so masked fields hit often
+            n = rng.randrange(0, 12)
+            return bytes(rng.choice((0x00, 0x0F, 0xF0, 0xFF, 0x01, 0x80))
+                         for _ in range(n))
+
+        checked = matched = 0
+        for _ in range(40):
+            for fid in list(self.engine._filters):
+                if rng.random() < 0.3:
+                    self.engine.remove(fid)
+                    scan.remove(fid)
+            for _ in range(rng.randrange(1, 6)):
+                preds = [random_predicate() for _ in range(rng.randrange(4))]
+                assert self.engine.insert(preds) == scan.insert(preds)
+            for _ in range(50):
+                packet = random_packet()
+                tree_hit, _ = self.engine.classify(packet)
+                scan_hit, _ = scan.classify(packet)
+                assert tree_hit == scan_hit, (packet.hex(), tree_hit, scan_hit)
+                checked += 1
+                matched += tree_hit is not None
+        assert checked == 2000
+        assert 0 < matched < checked
+
 
 class TestProcessScheduling:
     def test_single_process_computes(self):
