@@ -31,66 +31,23 @@ import argparse
 import hashlib
 import json
 import os
-import random
 import sys
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)),
                                 os.pardir, "src"))
 
-from repro.bench.testbed import make_an2_pair                    # noqa: E402
-from repro.net.socket_api import make_stacks, tcp_pair           # noqa: E402
+from repro.bench.workloads import tcp_bulk_transfer             # noqa: E402
 
 SEED = 42
 
 
-def crash_transfer(nbytes: int, mode: str = None,
-                   crash_at_us: float = None, outage_us: float = 500.0,
-                   pressure: dict = None, contention: dict = None,
-                   knobs: dict = None) -> dict:
-    """One bulk transfer with an optional scripted server crash plus
-    optional pressure/contention/link seams; returns every
-    observable of the run."""
-    tb = make_an2_pair()
-    cstack, sstack = make_stacks(tb)
-    client, server = tcp_pair(cstack, sstack, rto_us=20_000.0)
-    plane = tb.attach_fault_plane(seed=SEED)
-    if knobs:
-        plane.impair_link(tb.link, skip_first=3, **knobs)
-    if crash_at_us is not None:
-        plane.crash_node(tb.server_kernel, at_us=crash_at_us,
-                         outage_us=outage_us)
-    if pressure:
-        plane.pressure_memory(tb.server, **pressure)
-    if contention:
-        plane.contend_cpu(tb.server, **contention)
-    data = bytes(random.Random(SEED).randrange(256) for _ in range(nbytes))
-    got = []
-    elapsed = []
-
-    def server_body(proc):
-        yield from server.accept(proc)
-        if mode is not None:
-            server.install_fastpath(mode)
-        t0 = proc.engine.now
-        got.append((yield from server.read(proc, nbytes)))
-        elapsed.append(proc.engine.now - t0)
-        yield from server.write(proc, b"done")
-
-    def client_body(proc):
-        yield from client.connect(proc)
-        yield from client.write(proc, data)
-        reply = yield from client.read(proc, 4)
-        assert reply == b"done"
-        yield from client.linger(proc, duration_us=2_000_000.0)
-
-    tb.server_kernel.spawn_process("server", server_body)
-    tb.client_kernel.spawn_process("client", client_body)
-    tb.run()
-    if not got or got[0] != data:
-        raise RuntimeError(
-            f"crash@{crash_at_us}/{outage_us}us: "
-            "transfer corrupted or incomplete"
-        )
+def crash_transfer(nbytes: int, **world) -> dict:
+    """One bulk transfer; ``world`` (a scripted server ``crash``, plus
+    ``pressure`` / ``contention`` / link ``knobs`` / fast-path
+    ``mode``) goes to ``tcp_bulk_transfer``.  Returns every observable
+    of the run."""
+    tb, client, server, delivered, elapsed_ps = tcp_bulk_transfer(
+        SEED, nbytes, **world)
     sk, ck = tb.server_kernel, tb.client_kernel
     recovery_us = None
     if sk.crash_log:
@@ -98,15 +55,14 @@ def crash_transfer(nbytes: int, mode: str = None,
         if rec["first_delivery_after_reboot"] is not None:
             recovery_us = (rec["first_delivery_after_reboot"]
                            - rec["reboot_at"]) / 1_000_000
-    elapsed_ps = elapsed[0]
     return {
-        "digest": hashlib.sha256(got[0]).hexdigest(),
+        "digest": hashlib.sha256(delivered).hexdigest(),
         "elapsed_us": elapsed_ps / 1_000_000,
         "goodput_mbps": nbytes * 8 / (elapsed_ps / 1e12) / 1e6,
         "recoveries": sk.recoveries,
         "recovery_us": recovery_us,
         "lost_in_crash": sk.lost_messages,
-        "ledger": plane.ledger(),
+        "ledger": tb.fault_plane.ledger(),
         "retransmits": client.tcb.retransmits + server.tcb.retransmits,
         "alloc_failures": dict(tb.server.memory.alloc_failures),
         "contention_cycles": tb.server.cpu.contention_cycles,
@@ -144,8 +100,8 @@ def bench(quick: bool) -> dict:
     print(f"recovery-time vs outage (crash at {crash_at} us):")
     curve = []
     for outage in outages:
-        point = crash_transfer(nbytes, crash_at_us=crash_at,
-                               outage_us=outage)
+        point = crash_transfer(
+            nbytes, crash=dict(at_us=crash_at, outage_us=outage))
         point.update(outage_us=outage,
                      goodput_vs_baseline=round(
                          point["goodput_mbps"]
@@ -160,7 +116,8 @@ def bench(quick: bool) -> dict:
     print("goodput dip vs crash time (5 ms outage):")
     curve = []
     for at in crash_times:
-        point = crash_transfer(nbytes, crash_at_us=at, outage_us=5_000.0)
+        point = crash_transfer(
+            nbytes, crash=dict(at_us=at, outage_us=5_000.0))
         point.update(crash_at_us=at,
                      goodput_vs_baseline=round(
                          point["goodput_mbps"]
@@ -176,7 +133,8 @@ def bench(quick: bool) -> dict:
     zero_violations = True
     for mode in modes:
         point = crash_transfer(
-            nbytes, mode=mode, crash_at_us=crash_at, outage_us=5_000.0,
+            nbytes, mode=mode,
+            crash=dict(at_us=crash_at, outage_us=5_000.0),
             pressure=dict(rate=0.1, sites=("rx_refill", "ash_install")),
             contention=dict(rate=0.1, burst_cycles=1_000, budget_rate=0.2),
             knobs=dict(drop=0.02, corrupt=0.02),

@@ -18,14 +18,10 @@ Custom sweeps (``--drop``, ``--bulk``, ``--seed``) echo their arguments
 into the results JSON under ``cli`` (the bench_scale convention).
 """
 
-import hashlib
-import random
-
 from repro.bench.harness import reproduce
 from repro.bench.results import BenchTable, ascii_chart
-from repro.bench.testbed import make_an2_pair
-from repro.bench.workloads import TcpConfig, tcp_stream_throughput
-from repro.net.socket_api import make_stacks, tcp_pair
+from repro.bench.workloads import (TcpConfig, tcp_bulk_transfer,
+                                   tcp_stream_throughput)
 
 WINDOWS = [4096, 8192, 16384, 32768]
 MSSES = [536, 1024, 2048, 3072]
@@ -40,35 +36,11 @@ SEED = 42
 
 
 def lossy_goodput(drop: float, nbytes: int, seed: int = SEED,
-                  **conn_kwargs) -> float:
+                  sack: bool = True) -> float:
     """Library-path bulk goodput (MB/s) under a seeded drop schedule."""
-    tb = make_an2_pair()
-    cstack, sstack = make_stacks(tb)
-    client, server = tcp_pair(cstack, sstack, rto_us=20_000.0,
-                              **conn_kwargs)
-    plane = tb.attach_fault_plane(seed=seed)
-    plane.impair_link(tb.link, drop=drop, skip_first=3)
-    data = bytes(random.Random(seed).randrange(256) for _ in range(nbytes))
-    span = {}
-
-    def server_body(proc):
-        yield from server.accept(proc)
-        t0 = proc.engine.now
-        got = yield from server.read(proc, nbytes)
-        span["elapsed"] = proc.engine.now - t0
-        assert hashlib.sha256(got).digest() == hashlib.sha256(data).digest()
-        yield from server.write(proc, b"done")
-
-    def client_body(proc):
-        yield from client.connect(proc)
-        yield from client.write(proc, data)
-        yield from client.read(proc, 4)
-        yield from client.linger(proc, duration_us=2_000_000.0)
-
-    tb.server_kernel.spawn_process("server", server_body)
-    tb.client_kernel.spawn_process("client", client_body)
-    tb.run()
-    return nbytes / (span["elapsed"] / 1e12) / 1e6
+    *_, elapsed_ps = tcp_bulk_transfer(seed, nbytes, sack=sack,
+                                       knobs=dict(drop=drop))
+    return nbytes / (elapsed_ps / 1e12) / 1e6
 
 
 def run_tcp_params(drop_rates=None, lossy_bulk: int = LOSSY_BULK,

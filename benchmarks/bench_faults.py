@@ -25,7 +25,6 @@ import argparse
 import hashlib
 import json
 import os
-import random
 import sys
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)),
@@ -42,9 +41,9 @@ from repro.bench.testbed import (                                # noqa: E402
     SERVER_TO_CLIENT_VCI,
     make_an2_pair,
 )
+from repro.bench.workloads import tcp_bulk_transfer             # noqa: E402
 from repro.hw.link import Frame                                  # noqa: E402
 from repro.kernel.upcall import UpcallHandler                    # noqa: E402
-from repro.net.socket_api import make_stacks, tcp_pair           # noqa: E402
 
 IMPAIRMENTS = ("drop", "corrupt", "duplicate", "reorder")
 SEED = 42
@@ -54,43 +53,11 @@ def lossy_transfer(kind: str, rate: float,
                    nbytes: int, sack: bool = True) -> dict:
     """One bulk transfer under a single impairment knob; returns every
     observable of the run."""
-    tb = make_an2_pair()
-    cstack, sstack = make_stacks(tb)
-    client, server = tcp_pair(cstack, sstack, rto_us=20_000.0, sack=sack)
-    plane = tb.attach_fault_plane(seed=SEED)
-    if rate:
-        # keep the handshake reliable so every point measures steady
-        # state, not SYN retry luck
-        plane.impair_link(tb.link, skip_first=3, **{kind: rate})
-    data = bytes(random.Random(SEED).randrange(256)
-                 for _ in range(nbytes))
-    got = []
-    elapsed = []
-
-    def server_body(proc):
-        yield from server.accept(proc)
-        t0 = proc.engine.now
-        got.append((yield from server.read(proc, nbytes)))
-        elapsed.append(proc.engine.now - t0)
-        yield from server.write(proc, b"done")
-
-    def client_body(proc):
-        yield from client.connect(proc)
-        yield from client.write(proc, data)
-        reply = yield from client.read(proc, 4)
-        assert reply == b"done"
-        yield from client.linger(proc, duration_us=2_000_000.0)
-
-    tb.server_kernel.spawn_process("server", server_body)
-    tb.client_kernel.spawn_process("client", client_body)
-    tb.run()
-    if not got or got[0] != data:
-        raise RuntimeError(
-            f"{kind}@{rate}: transfer corrupted or incomplete"
-        )
-    elapsed_ps = elapsed[0]
+    tb, client, server, delivered, elapsed_ps = tcp_bulk_transfer(
+        SEED, nbytes, sack=sack, knobs={kind: rate} if rate else None)
+    plane = tb.fault_plane
     return {
-        "digest": hashlib.sha256(got[0]).hexdigest(),
+        "digest": hashlib.sha256(delivered).hexdigest(),
         "elapsed_us": elapsed_ps / 1_000_000,
         "goodput_mbps": nbytes * 8 / (elapsed_ps / 1e12) / 1e6,
         "injected": plane.total(),

@@ -24,22 +24,11 @@ RESULTS = os.path.join(HERE, "results")
 OUT = os.path.join(os.path.dirname(HERE), "EXPERIMENTS.md")
 sys.path.insert(0, os.path.join(os.path.dirname(HERE), "src"))
 
-ORDER = [
-    "table1_raw_latency",
-    "fig3_raw_throughput",
-    "table2_udp_tcp",
-    "table3_copies",
-    "table4_ilp",
-    "table5_remote_increment",
-    "table6_tcp_ash",
-    "fig4_scheduling",
-    "sec5d_sandbox_overhead",
-    "ablation_dilp",
-    "ablation_budget",
-    "ablation_sandbox",
-    "ablation_livelock",
-    "ext_tcp_params",
-]
+from repro.bench.__main__ import EXPERIMENTS  # noqa: E402
+
+#: table names in run order: each experiment's file minus bench_ / .py
+ORDER = [filename[len("bench_"):-len(".py")]
+         for filename, _ in EXPERIMENTS.values()]
 
 HEADER = """# EXPERIMENTS — paper vs. measured
 

@@ -48,17 +48,15 @@ import argparse
 import hashlib
 import json
 import os
-import random
 import sys
 import tempfile
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)),
                                 os.pardir, "src"))
 
-from repro.bench.testbed import make_an2_pair                    # noqa: E402
 from repro.bench.workloads import (canary_rollout,               # noqa: E402
+                                   tcp_bulk_transfer,
                                    tenant_noisy_neighbor)
-from repro.net.socket_api import make_stacks, tcp_pair           # noqa: E402
 
 SCHEMA = "repro-liveops-sweep"
 SCHEMA_VERSION = 1
@@ -95,55 +93,16 @@ def run_tcp_bulk(nbytes: int, crash: dict = None,
                  knobs: dict = None) -> dict:
     """One TCP bulk transfer with an optional scripted crash (on either
     node, possibly a storm) and optional link chaos."""
-    tb = make_an2_pair()
-    cstack, sstack = make_stacks(tb)
-    client, server = tcp_pair(cstack, sstack, rto_us=20_000.0)
-    plane = tb.attach_fault_plane(seed=SEED)
-    if knobs:
-        plane.impair_link(tb.link, skip_first=3, **knobs)
-    crashed_kernel = None
-    if crash:
-        crash = dict(crash)
-        target = crash.pop("target", "server")
-        crashed_kernel = (tb.client_kernel if target == "client"
-                          else tb.server_kernel)
-        plane.crash_node(crashed_kernel, **crash)
-    data = bytes(random.Random(SEED).randrange(256) for _ in range(nbytes))
-    got = []
-    elapsed = []
-
-    def server_body(proc):
-        yield from server.accept(proc)
-        t0 = proc.engine.now
-        got.append((yield from server.read(proc, nbytes)))
-        elapsed.append(proc.engine.now - t0)
-        yield from server.write(proc, b"done")
-
-    def client_body(proc):
-        yield from client.connect(proc)
-        yield from client.write(proc, data)
-        reply = yield from client.read(proc, 4)
-        assert reply == b"done"
-        yield from client.linger(proc, duration_us=2_000_000.0)
-
-    tb.server_kernel.spawn_process("server", server_body)
-    tb.client_kernel.spawn_process("client", client_body)
-    tb.run()
-    if not got or got[0] != data:
-        raise RuntimeError(
-            "tcp_bulk: transfer corrupted or incomplete")
+    tb, client, server, delivered, elapsed_ps = tcp_bulk_transfer(
+        SEED, nbytes, crash=crash, knobs=knobs)
     sk, ck = tb.server_kernel, tb.client_kernel
-    recoveries_us = []
-    if crashed_kernel is not None:
-        for rec in crashed_kernel.crash_log:
-            if rec["first_delivery_after_reboot"] is not None \
-                    and rec["reboot_at"] is not None:
-                recoveries_us.append(
-                    (rec["first_delivery_after_reboot"] - rec["reboot_at"])
-                    / 1_000_000)
-    elapsed_ps = elapsed[0]
+    recoveries_us = [
+        (rec["first_delivery_after_reboot"] - rec["reboot_at"]) / 1_000_000
+        for rec in sk.crash_log + ck.crash_log
+        if rec["first_delivery_after_reboot"] is not None
+        and rec["reboot_at"] is not None]
     return {
-        "digest": hashlib.sha256(got[0]).hexdigest(),
+        "digest": hashlib.sha256(delivered).hexdigest(),
         "elapsed_us": elapsed_ps / 1_000_000,
         "goodput_mbps": nbytes * 8 / (elapsed_ps / 1e12) / 1e6,
         "crashes": sk.crash_count + ck.crash_count,
@@ -151,7 +110,7 @@ def run_tcp_bulk(nbytes: int, crash: dict = None,
         "recovery_us": max(recoveries_us) if recoveries_us else None,
         "lost_in_crash": sk.lost_messages + ck.lost_messages,
         "retransmits": client.tcb.retransmits + server.tcb.retransmits,
-        "ledger": plane.ledger(),
+        "ledger": tb.fault_plane.ledger(),
         "delivery_outcomes": dict(sorted(sk.delivery_outcomes.items())),
         "order_violations": (sk.degradation_order_violations
                              + ck.degradation_order_violations),
@@ -163,8 +122,7 @@ def run_canary(v2: str, crash: bool = False,
     scenario = None
     if jitter_us is not None:
         def scenario(tb):
-            return [{"site": "link", "target": tb.link,
-                     "delay_jitter_us": jitter_us}]
+            tb.fault_plane.impair_link(tb.link, delay_jitter_us=jitter_us)
     return canary_rollout(
         v2=v2, crash_during_canary=crash,
         scenario=scenario, fault_seed=SEED,

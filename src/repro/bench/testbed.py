@@ -67,8 +67,9 @@ class Testbed:
     def attach_fault_plane(self, seed: int = 0):
         """Create (once) and return the testbed's
         :class:`~repro.sim.faults.FaultPlane`, wired to the client
-        node's telemetry hub.  Call ``impair_link`` / ``stress_nic`` /
-        ``abort_ash`` / ``apply_scenario`` on the result."""
+        node's telemetry hub.  Install faults by calling its factories
+        (``impair_link`` / ``stress_nic`` / ``abort_ash`` /
+        ``crash_node`` / ...) on the result."""
         if self.fault_plane is None:
             from ..sim.faults import FaultPlane
 

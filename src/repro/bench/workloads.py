@@ -14,6 +14,7 @@ to exact numbers here).
 from __future__ import annotations
 
 import hashlib
+import random
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -48,6 +49,7 @@ __all__ = [
     "tcp_stream_throughput",
     "remote_increment",
     "RemoteIncrementResult",
+    "tcp_bulk_transfer",
     "canary_rollout",
     "tenant_world",
     "tenant_noisy_neighbor",
@@ -577,6 +579,82 @@ def remote_increment(
 
 
 # ---------------------------------------------------------------------------
+# seeded bulk TCP transfer under injected faults
+# ---------------------------------------------------------------------------
+
+def tcp_bulk_transfer(
+    seed: int,
+    nbytes: int,
+    *,
+    ncores: int = 1,
+    sack: bool = True,
+    knobs: Optional[dict] = None,
+    crash: Optional[dict] = None,
+    pressure: Optional[dict] = None,
+    contention: Optional[dict] = None,
+    mode: Optional[str] = None,
+) -> tuple:
+    """One seeded bulk TCP transfer over an AN2 pair: the world behind
+    the fault, crash and TCP-parameter benches and their tests.
+
+    The fault plane (seeded with ``seed``, like the payload) installs,
+    in order: link impairments ``knobs`` (the first three frames pass
+    untouched, so the session always establishes), a scripted crash
+    (``crash`` holds :meth:`~repro.sim.faults.FaultPlane.crash_node`'s
+    keywords plus an optional ``"target"``, ``"server"`` by default or
+    ``"client"``), then memory ``pressure`` and CPU ``contention`` on
+    the server.  ``mode`` installs a server fast path after accept.
+    The client lingers to answer late retransmissions.
+
+    Checks every byte arrived; returns ``(testbed, client, server,
+    delivered, read_ps)`` where ``read_ps`` is the simulated time of
+    the server's read.
+    """
+    tb = make_an2_pair(ncores=ncores)
+    cstack, sstack = make_stacks(tb)
+    client, server = tcp_pair(cstack, sstack, rto_us=20_000.0, sack=sack)
+    plane = tb.attach_fault_plane(seed=seed)
+    if knobs:
+        plane.impair_link(tb.link, skip_first=3, **knobs)
+    if crash:
+        crash = dict(crash)
+        target = crash.pop("target", "server")
+        plane.crash_node({"client": tb.client_kernel,
+                          "server": tb.server_kernel}[target], **crash)
+    if pressure:
+        plane.pressure_memory(tb.server, **pressure)
+    if contention:
+        plane.contend_cpu(tb.server, **contention)
+    data = bytes(random.Random(seed).randrange(256) for _ in range(nbytes))
+    got = []
+    elapsed = []
+
+    def server_body(proc):
+        yield from server.accept(proc)
+        if mode is not None:
+            server.install_fastpath(mode)
+        t0 = proc.engine.now
+        got.append((yield from server.read(proc, nbytes)))
+        elapsed.append(proc.engine.now - t0)
+        yield from server.write(proc, b"done")
+
+    def client_body(proc):
+        yield from client.connect(proc)
+        yield from client.write(proc, data)
+        reply = yield from client.read(proc, 4)
+        assert reply == b"done"
+        yield from client.linger(proc, duration_us=2_000_000.0)
+
+    tb.server_kernel.spawn_process("server", server_body)
+    tb.client_kernel.spawn_process("client", client_body)
+    tb.run()
+    if not got or got[0] != data:
+        raise RuntimeError(
+            "tcp_bulk_transfer: transfer corrupted or incomplete")
+    return tb, client, server, got[0], elapsed[0]
+
+
+# ---------------------------------------------------------------------------
 # live operations: hot ASH upgrade with staged canary rollout
 # ---------------------------------------------------------------------------
 
@@ -645,7 +723,7 @@ def canary_rollout(
     slow_insns: int = 2000,
     crash_during_canary: bool = False,
     crash_outage_us: float = 500.0,
-    scenario: Optional[Callable[[Testbed], list]] = None,
+    scenario: Optional[Callable[[Testbed], None]] = None,
     fault_seed: int = 11,
 ) -> dict:
     """The live-operations workload: upgrade a fleet of remote-increment
@@ -662,6 +740,8 @@ def canary_rollout(
     crashes and reboots the *server* kernel between canary rounds: the
     version bindings ride the boot-record replay, so the rollout must
     come back in its canary configuration with zero lost messages.
+    ``scenario(tb)``, if given, installs faults on ``tb.fault_plane``
+    (seeded with ``fault_seed``) before any handler is downloaded.
 
     Returns a deterministic observables dict — the golden/SMP
     bit-identity bar for the rollout plane.
@@ -672,7 +752,7 @@ def canary_rollout(
     sk, ck = tb.server_kernel, tb.client_kernel
     if scenario is not None:
         tb.attach_fault_plane(seed=fault_seed)
-        tb.fault_plane.apply_scenario(scenario(tb))
+        scenario(tb)
     mem = tb.server.memory
 
     srv_eps, cli_eps, targets = [], [], []

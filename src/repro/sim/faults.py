@@ -37,16 +37,13 @@ identical seeded fault schedule yields **bit-identical outcomes**
 ``tests/test_faults.py`` pins them to committed golden digests.
 
 Activation windows (``start_us``/``stop_us``) are evaluated against the
-engine's deterministic clock, so scenarios are scriptable as plain data
-(:meth:`FaultPlane.apply_scenario`)::
+engine's deterministic clock, so a scenario is a few factory calls::
 
     plane = tb.attach_fault_plane(seed=42)
-    plane.apply_scenario([
-        {"site": "link", "target": tb.link, "drop": 0.05, "skip_first": 3},
-        {"site": "nic", "target": tb.server_nic, "exhaust": 0.5,
-         "start_us": 2_000.0, "stop_us": 4_000.0},
-        {"site": "ash", "target": tb.server_kernel, "every": 2},
-    ])
+    plane.impair_link(tb.link, drop=0.05, skip_first=3)
+    plane.stress_nic(tb.server_nic, exhaust=0.5,
+                     start_us=2_000.0, stop_us=4_000.0)
+    plane.abort_ash(tb.server_kernel, every=2)
 
 The plane keeps a deterministic **ledger** of everything it injected
 (:meth:`FaultPlane.ledger`) and mirrors it into ``faults.*`` telemetry.
@@ -823,43 +820,6 @@ class FaultPlane:
         script = TenantScript(self, manager, tenant, at_us, **knobs)
         self.injectors.append(script)
         return script
-
-    def apply_scenario(self, scenario: list[dict]) -> list[_Injector]:
-        """Install a declarative scenario: a list of specs, each with a
-        ``site`` ("link" / "nic" / "ash" / "crash" / "mem" / "cpu" /
-        "tenant_flood" / "tenant_leak" / "tenant_hog" / "tenant_abort" /
-        "tenant_script"), a ``target`` object, and the matching
-        injector's keyword knobs."""
-        installed = []
-        for spec in scenario:
-            spec = dict(spec)
-            site = spec.pop("site")
-            target = spec.pop("target")
-            if site == "link":
-                installed.append(self.impair_link(target, **spec))
-            elif site == "nic":
-                installed.append(self.stress_nic(target, **spec))
-            elif site == "ash":
-                installed.append(self.abort_ash(target, **spec))
-            elif site == "crash":
-                installed.append(self.crash_node(target, **spec))
-            elif site == "mem":
-                installed.append(self.pressure_memory(target, **spec))
-            elif site == "cpu":
-                installed.append(self.contend_cpu(target, **spec))
-            elif site == "tenant_flood":
-                installed.append(self.flood_tenant(target, **spec))
-            elif site == "tenant_leak":
-                installed.append(self.leak_tenant(target, **spec))
-            elif site == "tenant_hog":
-                installed.append(self.hog_tenant(target, **spec))
-            elif site == "tenant_abort":
-                installed.append(self.abortloop_tenant(target, **spec))
-            elif site == "tenant_script":
-                installed.append(self.script_tenant(target, **spec))
-            else:
-                raise SimError(f"unknown fault site {site!r}")
-        return installed
 
     # -- accounting --------------------------------------------------------
     def record(self, kind: str, site: str) -> None:

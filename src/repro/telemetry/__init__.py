@@ -86,7 +86,6 @@ __all__ = [
     "to_chrome_trace",
     "format_table",
     "write_json",
-    "configure",
     "session",
     "Session",
 ]
@@ -104,12 +103,6 @@ _ACTIVE_SESSION: Optional["Session"] = None
 
 def _default_enabled() -> bool:
     return _DEFAULT_ENABLED
-
-
-def configure(enabled: bool) -> None:
-    """Set whether newly created Telemetry hubs start enabled."""
-    global _DEFAULT_ENABLED
-    _DEFAULT_ENABLED = enabled
 
 
 def _register(tel: Telemetry) -> None:

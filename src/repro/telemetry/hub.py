@@ -5,7 +5,7 @@ at construction.  It is **disabled by default** — the simulation's
 modelled costs never depend on it, and a disabled hub costs one branch
 per instrumented call site — and is switched on either explicitly
 (``node.telemetry.enable()``) or for a whole run via
-:func:`repro.telemetry.session` / :func:`repro.telemetry.configure`.
+:func:`repro.telemetry.session`.
 
 The old :class:`~repro.sim.trace.Tracer` plugs in underneath: every
 ``node.trace(...)`` emit is routed through the hub, which forwards it to

@@ -24,7 +24,7 @@ REPO_ROOT = os.path.dirname(os.path.dirname(os.path.dirname(
 sys.path[:0] = [REPO_ROOT, os.path.join(REPO_ROOT, "src")]
 
 from repro.bench.workloads import TENANT_SCENARIOS  # noqa: E402
-from tests import golden  # noqa: E402
+from tests import golden, load_bench_script  # noqa: E402
 from tests.test_determinism import scale_record, scale_world  # noqa: E402
 from tests.test_faults import (  # noqa: E402
     CHAOS_WORLDS,
@@ -36,10 +36,7 @@ from tests.test_faults import (  # noqa: E402
 )
 from tests.test_liveops import canary_crash_record  # noqa: E402
 from tests.test_scale_smp import smp_lossy_cc, smp_world  # noqa: E402
-from tests.test_sweep_driver import (  # noqa: E402
-    _load_driver,
-    sweep_smoke_records,
-)
+from tests.test_sweep_driver import sweep_smoke_records  # noqa: E402
 from tests.test_tcp_sack_property import CC_IMPAIRMENTS, cc_record  # noqa: E402
 from tests.test_tenancy import tenant_record  # noqa: E402
 
@@ -47,7 +44,7 @@ from tests.test_tenancy import tenant_record  # noqa: E402
 def sweep_smoke() -> dict:
     with tempfile.TemporaryDirectory() as tmp:
         out = os.path.join(tmp, "smoke.json")
-        if _load_driver().main(["--smoke", "--out", out]) != 0:
+        if load_bench_script("sweep_driver").main(["--smoke", "--out", out]) != 0:
             raise SystemExit("sweep_driver --smoke failed")
         with open(out) as fh:
             return sweep_smoke_records(json.load(fh))

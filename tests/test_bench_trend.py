@@ -7,24 +7,13 @@ perf leaves (simulated time, goodput) in the bad direction, while
 ignoring wall-clock-noisy leaves by default.
 """
 
-import importlib.util
 import json
-import os
 
-
-def _load_trend():
-    path = os.path.join(
-        os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-        "benchmarks", "check_bench_trend.py",
-    )
-    spec = importlib.util.spec_from_file_location("check_bench_trend", path)
-    mod = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(mod)
-    return mod
+from tests import load_bench_script
 
 
 def test_committed_baselines_self_compare_clean():
-    trend = _load_trend()
+    trend = load_bench_script("check_bench_trend")
     paths = trend.committed_baselines()
     assert paths, "no committed BENCH_*.json baselines"
     for path in paths:
@@ -35,7 +24,7 @@ def test_committed_baselines_self_compare_clean():
 
 
 def test_classification_directions():
-    trend = _load_trend()
+    trend = load_bench_script("check_bench_trend")
     assert trend.classify("baseline.elapsed_us") == "lower"
     assert trend.classify("curves.recovery_us") == "lower"
     assert trend.classify("ash_abort.virtual_ns") == "lower"
@@ -51,7 +40,7 @@ def test_classification_directions():
 
 
 def test_latency_regression_detected():
-    trend = _load_trend()
+    trend = load_bench_script("check_bench_trend")
     base = {"run": {"elapsed_us": 100.0, "goodput_mbps": 50.0}}
     ok = {"run": {"elapsed_us": 105.0, "goodput_mbps": 48.0}}
     bad = {"run": {"elapsed_us": 120.0, "goodput_mbps": 50.0}}
@@ -62,7 +51,7 @@ def test_latency_regression_detected():
 
 
 def test_goodput_regression_detected_improvement_ignored():
-    trend = _load_trend()
+    trend = load_bench_script("check_bench_trend")
     base = {"run": {"goodput_mbps": 50.0}}
     assert trend.compare(base, {"run": {"goodput_mbps": 40.0}})
     # faster is never a failure
@@ -72,7 +61,7 @@ def test_goodput_regression_detected_improvement_ignored():
 
 
 def test_wallclock_leaves_skipped_by_default():
-    trend = _load_trend()
+    trend = load_bench_script("check_bench_trend")
     base = {"w": {"interp_per_sec": 1000.0, "wall_s": 1.0}}
     slow = {"w": {"interp_per_sec": 100.0, "wall_s": 10.0}}
     assert trend.compare(base, slow) == []
@@ -80,7 +69,7 @@ def test_wallclock_leaves_skipped_by_default():
 
 
 def test_schema_drift_is_fatal_both_ways():
-    trend = _load_trend()
+    trend = load_bench_script("check_bench_trend")
     base = {"a": {"elapsed_us": 10.0}, "b": {"elapsed_us": 20.0}}
     fresh = {"a": {"elapsed_us": 10.0}, "c": {"elapsed_us": 5.0}}
     errors = trend.compare(base, fresh)
@@ -90,7 +79,7 @@ def test_schema_drift_is_fatal_both_ways():
 
 
 def test_none_leaves_are_skipped():
-    trend = _load_trend()
+    trend = load_bench_script("check_bench_trend")
     base = {"run": {"recovery_us": None, "elapsed_us": 10.0}}
     fresh = {"run": {"recovery_us": 123.0, "elapsed_us": 10.0}}
     # None (no crash in that config) never participates; its appearance
@@ -101,7 +90,7 @@ def test_none_leaves_are_skipped():
 
 
 def test_deeply_nested_and_listed_leaves_walked():
-    trend = _load_trend()
+    trend = load_bench_script("check_bench_trend")
     base = {"curves": [{"pts": [{"elapsed_us": 10.0}]}]}
     bad = {"curves": [{"pts": [{"elapsed_us": 20.0}]}]}
     errors = trend.compare(base, bad)

@@ -57,11 +57,11 @@ def test_remote_increment_repeatable_across_modes():
 def test_congestion_control_repeatable_under_loss():
     """The cwnd/ssthresh event stream — the congestion controller's
     entire observable behaviour — is a pure function of the seed."""
-    from tests.test_faults import tcp_bulk_run
+    from repro.bench.workloads import tcp_bulk_transfer
 
     def run():
-        _tb, client, server, _ = tcp_bulk_run(11, 24_000,
-                                              knobs=dict(drop=0.1))
+        _tb, client, server, _, _ = tcp_bulk_transfer(
+            11, 24_000, knobs=dict(drop=0.1))
         return client.congestion_digest(), server.congestion_digest()
 
     assert run() == run()

@@ -19,6 +19,7 @@ from repro.bench.testbed import (
     SERVER_TO_CLIENT_VCI,
     make_an2_pair,
 )
+from repro.bench.workloads import tcp_bulk_transfer
 from repro.hw.link import Frame
 from repro.kernel.upcall import UpcallHandler
 from repro.net.socket_api import make_stacks, tcp_pair
@@ -31,59 +32,11 @@ CHAOS_KNOBS = dict(drop=0.03, corrupt=0.03, duplicate=0.04, reorder=0.04)
 HEAVY_KNOBS = dict(drop=0.06, corrupt=0.06, duplicate=0.08, reorder=0.08)
 
 
-def tcp_bulk_run(seed: int, nbytes: int = 48_000, *, ncores: int = 1,
-                 knobs: dict = None, crash: bool = False,
-                 crash_at_us: float = 1_500.0, outage_us: float = 40_000.0,
-                 mode: str = None, pressure: dict = None,
-                 contention: dict = None):
-    """One seeded bulk TCP transfer over an AN2 pair: optional link
-    impairments (``knobs``), a scripted server crash mid-flow, memory
-    pressure and CPU contention on the server, and a server fast path
-    (``mode``).  The client lingers to answer late retransmissions.
-    Checks every byte arrived; returns ``(testbed, client, server,
-    delivered)``."""
-    tb = make_an2_pair(ncores=ncores)
-    cstack, sstack = make_stacks(tb)
-    client, server = tcp_pair(cstack, sstack, rto_us=20_000.0)
-    plane = tb.attach_fault_plane(seed=seed)
-    if knobs:
-        # the first frames pass untouched, so sessions always establish
-        plane.impair_link(tb.link, skip_first=3, **knobs)
-    if crash:
-        plane.crash_node(tb.server_kernel, at_us=crash_at_us,
-                         outage_us=outage_us)
-    if pressure:
-        plane.pressure_memory(tb.server, **pressure)
-    if contention:
-        plane.contend_cpu(tb.server, **contention)
-    data = bytes(random.Random(seed).randrange(256) for _ in range(nbytes))
-    got = []
-
-    def server_body(proc):
-        yield from server.accept(proc)
-        if mode is not None:
-            server.install_fastpath(mode)
-        got.append((yield from server.read(proc, nbytes)))
-        yield from server.write(proc, b"done")
-
-    def client_body(proc):
-        yield from client.connect(proc)
-        yield from client.write(proc, data)
-        reply = yield from client.read(proc, 4)
-        assert reply == b"done"
-        yield from client.linger(proc, duration_us=2_000_000.0)
-
-    tb.server_kernel.spawn_process("server", server_body)
-    tb.client_kernel.spawn_process("client", client_body)
-    tb.run()
-    assert got and got[0] == data, "transfer corrupted or incomplete"
-    return tb, client, server, got[0]
-
-
 def chaos_tcp_transfer(seed: int, nbytes: int,
                        knobs: dict = CHAOS_KNOBS) -> dict:
     """Bulk transfer under combined impairments; returns observables."""
-    tb, client, server, delivered = tcp_bulk_run(seed, nbytes, knobs=knobs)
+    tb, client, server, delivered, _ = tcp_bulk_transfer(seed, nbytes,
+                                                         knobs=knobs)
     return {
         "delivered": delivered,
         "ledger": tb.fault_plane.ledger(),
@@ -330,34 +283,36 @@ class TestAshAbort:
 
 
 def test_scenario_script_installs_all_sites():
-    """apply_scenario: declarative multi-seam schedules as plain data."""
+    """A scenario is a few factory calls; each installs its injector on
+    the seam the hot path consults."""
     tb = make_an2_pair()
     plane = tb.attach_fault_plane(seed=5)
-    installed = plane.apply_scenario([
-        {"site": "link", "target": tb.link, "drop": 0.1, "skip_first": 3},
-        {"site": "nic", "target": tb.server_nic, "exhaust": 0.2},
-        {"site": "ash", "target": tb.server_kernel, "every": 3},
-        {"site": "mem", "target": tb.server, "rate": 0.1},
-        {"site": "cpu", "target": tb.server, "rate": 0.1},
-    ])
-    assert len(installed) == 5
+    installed = [
+        plane.impair_link(tb.link, drop=0.1, skip_first=3),
+        plane.stress_nic(tb.server_nic, exhaust=0.2),
+        plane.abort_ash(tb.server_kernel, every=3),
+        plane.pressure_memory(tb.server, rate=0.1),
+        plane.contend_cpu(tb.server, rate=0.1),
+    ]
     assert tb.link.impairment is installed[0]
     assert tb.server_nic.stress is installed[1]
     assert tb.server_kernel.ash_system.fault_injector is installed[2]
     assert tb.server.memory.pressure is installed[3]
     assert tb.server.cpu.contention is installed[4]
-    with pytest.raises(Exception):
-        plane.apply_scenario([{"site": "nope", "target": tb.link}])
 
 
 # ---------------------------------------------------------------------------
 # crash/restart recovery plane
 # ---------------------------------------------------------------------------
 
-def crash_tcp_transfer(seed: int, crash: bool = True, **kw) -> dict:
-    """:func:`tcp_bulk_run` with a server crash mid-flow by default;
-    returns observables including the recovery record."""
-    tb, client, server, delivered = tcp_bulk_run(seed, crash=crash, **kw)
+def crash_tcp_transfer(seed: int, nbytes: int = 48_000, crash: bool = True,
+                       crash_at_us: float = 1_500.0, **kw) -> dict:
+    """:func:`tcp_bulk_transfer` with a 40 ms server crash mid-flow by
+    default; returns observables including the recovery record."""
+    tb, client, server, delivered, _ = tcp_bulk_transfer(
+        seed, nbytes,
+        crash=dict(at_us=crash_at_us, outage_us=40_000.0) if crash else None,
+        **kw)
     sk, ck = tb.server_kernel, tb.client_kernel
     return {
         "delivered": delivered,

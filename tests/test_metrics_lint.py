@@ -7,38 +7,26 @@ directions.  This file runs that lint as part of the ordinary suite and
 pins its detection behaviour on synthetic trees.
 """
 
-import importlib.util
-import os
-
-
-def _load(name):
-    path = os.path.join(
-        os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-        "benchmarks", f"{name}.py",
-    )
-    spec = importlib.util.spec_from_file_location(name, path)
-    mod = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(mod)
-    return mod
+from tests import load_bench_script
 
 
 def test_source_tree_is_clean():
     """Every emitted metric is registered under the right kind, and
     every registered metric still has an emitter."""
-    lint = _load("check_metrics_lint")
+    lint = load_bench_script("check_metrics_lint")
     assert lint.lint() == []
     assert lint.main([]) == 0
 
 
 def test_registry_covers_only_real_kinds():
-    schema = _load("check_metrics_schema")
+    schema = load_bench_script("check_metrics_schema")
     assert set(schema.KNOWN_METRICS.values()) <= {
         "counters", "gauges", "histograms"
     }
 
 
 def test_unregistered_call_site_is_flagged(tmp_path):
-    lint = _load("check_metrics_lint")
+    lint = load_bench_script("check_metrics_lint")
     (tmp_path / "mod.py").write_text(
         'tel.counter("rogue.metric", op="x").inc()\n'
     )
@@ -49,7 +37,7 @@ def test_unregistered_call_site_is_flagged(tmp_path):
 
 
 def test_kind_mismatch_is_flagged(tmp_path):
-    lint = _load("check_metrics_lint")
+    lint = load_bench_script("check_metrics_lint")
     (tmp_path / "mod.py").write_text('tel.gauge("x.depth").set(3)\n')
     errors = lint.lint(root=str(tmp_path),
                        registry={"x.depth": "counters"})
@@ -58,7 +46,7 @@ def test_kind_mismatch_is_flagged(tmp_path):
 
 
 def test_stale_registry_entry_is_flagged(tmp_path):
-    lint = _load("check_metrics_lint")
+    lint = load_bench_script("check_metrics_lint")
     (tmp_path / "mod.py").write_text("pass\n")
     errors = lint.lint(root=str(tmp_path),
                        registry={"ghost.metric": "counters"})
@@ -70,7 +58,7 @@ def test_indirect_emission_via_literal_satisfies_registry(tmp_path):
     """Names emitted through a variable (e.g. the engine's
     ``sim.calendar.*`` publishing loop) count as live as long as the
     literal appears somewhere in the tree."""
-    lint = _load("check_metrics_lint")
+    lint = load_bench_script("check_metrics_lint")
     (tmp_path / "mod.py").write_text(
         'totals = {"sim.x.fired": 3}\n'
         "for name, n in totals.items():\n"
@@ -82,7 +70,7 @@ def test_indirect_emission_via_literal_satisfies_registry(tmp_path):
 
 
 def test_multiline_call_site_is_seen(tmp_path):
-    lint = _load("check_metrics_lint")
+    lint = load_bench_script("check_metrics_lint")
     (tmp_path / "mod.py").write_text(
         "tel.counter(\n"
         '    "wrapped.metric",\n'

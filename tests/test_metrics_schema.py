@@ -7,24 +7,16 @@ crash/recovery-plane metrics into the export contract.
 """
 
 import glob
-import importlib.util
 import os
 
 from repro import telemetry
+from tests import load_bench_script
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
-def _load_schema_checker():
-    path = os.path.join(REPO_ROOT, "benchmarks", "check_metrics_schema.py")
-    spec = importlib.util.spec_from_file_location("check_metrics_schema", path)
-    mod = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(mod)
-    return mod
-
-
 def test_recovery_plane_metrics_are_pinned_counters():
-    checker = _load_schema_checker()
+    checker = load_bench_script("check_metrics_schema")
     for name in (
         "crash.crashes", "crash.recoveries", "crash.lost_messages",
         "crash.filters_reinstalled", "crash.ash_reinstalls",
@@ -39,7 +31,7 @@ def test_fault_run_export_validates_and_carries_recovery_counters():
     document whose counters include the whole recovery plane."""
     from tests.test_faults import crash_tcp_transfer
 
-    checker = _load_schema_checker()
+    checker = load_bench_script("check_metrics_schema")
     with telemetry.session() as sess:
         crash_tcp_transfer(
             seed=79, nbytes=24_000,
@@ -64,7 +56,7 @@ def test_fault_run_export_validates_and_carries_recovery_counters():
 def test_committed_sidecars_validate():
     """Every sidecar checked into benchmarks/results/ still parses
     against the current schema (the CLI's no-argument mode)."""
-    checker = _load_schema_checker()
+    checker = load_bench_script("check_metrics_schema")
     results = os.path.join(REPO_ROOT, "benchmarks", "results")
     paths = sorted(
         glob.glob(os.path.join(results, "*.telemetry.json"))

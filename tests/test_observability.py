@@ -9,35 +9,24 @@ cycles and every observable stay bit-identical with telemetry on or
 off.
 """
 
-import importlib.util
-import os
 import random
 
 import pytest
 
 from repro import telemetry
 from repro.bench.testbed import make_an2_pair
+from repro.bench.workloads import tcp_bulk_transfer
 from repro.net.socket_api import make_stacks, tcp_pair
 from repro.sim.engine import Engine
 from repro.telemetry import SloRule, flow_label
 
-from tests.test_faults import crash_tcp_transfer, tcp_bulk_run
-
-
-def _load_checker(name):
-    path = os.path.join(
-        os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-        "benchmarks", f"{name}.py",
-    )
-    spec = importlib.util.spec_from_file_location(name, path)
-    mod = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(mod)
-    return mod
+from tests import load_bench_script
+from tests.test_faults import crash_tcp_transfer
 
 
 def tcp_transfer(seed=11, nbytes=6_000):
     """Small clean two-node TCP transfer; returns (testbed, observables)."""
-    tb, client, server, delivered = tcp_bulk_run(seed, nbytes)
+    tb, client, server, delivered, _ = tcp_bulk_transfer(seed, nbytes)
     return tb, {
         "delivered": delivered,
         "time_ps": tb.engine.now,
@@ -61,7 +50,7 @@ class TestCrossNodeTracing:
             tb, obs = tcp_transfer()
             doc = sess.export_chrome()
 
-        checker = _load_checker("check_metrics_schema")
+        checker = load_bench_script("check_metrics_schema")
         assert checker.validate_chrome(doc) == []
 
         events = doc["traceEvents"]
@@ -243,7 +232,7 @@ class TestFlightRecorder:
             postmortems = sess.export_postmortems()
 
         assert postmortems, "the crash produced no post-mortem"
-        checker = _load_checker("check_metrics_schema")
+        checker = load_bench_script("check_metrics_schema")
         crash_dumps = [pm for pm in postmortems
                        if pm["reason"] == "kernel_crash"]
         assert crash_dumps
@@ -305,7 +294,7 @@ class TestFlightRecorder:
 class TestSidecars:
     def test_write_postmortems_only_on_dumps(self, tmp_path):
         from repro.bench.telemetry_cli import write_postmortems
-        checker = _load_checker("check_metrics_schema")
+        checker = load_bench_script("check_metrics_schema")
 
         with telemetry.session() as sess:
             tcp_transfer()
@@ -321,7 +310,7 @@ class TestSidecars:
         assert checker.validate_file(path) == []
 
     def test_full_export_validates_with_slo_and_flight_blocks(self):
-        checker = _load_checker("check_metrics_schema")
+        checker = load_bench_script("check_metrics_schema")
         with telemetry.session() as sess:
             crash_tcp_transfer(seed=31, nbytes=24_000)
             snap = sess.export_metrics(include_span_events=True)

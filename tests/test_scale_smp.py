@@ -14,6 +14,7 @@ import os
 import pytest
 
 from repro.bench.testbed import make_an2_pair
+from repro.bench.workloads import tcp_bulk_transfer
 from repro.hw.calibration import DEFAULT as CAL
 from repro.hw.link import Frame, Link
 from repro.hw.nic import An2Nic, RssDispatcher, flow_key, fnv1a32
@@ -26,7 +27,6 @@ from repro.sim.queues import CalendarQueue
 from repro.sim.units import CYCLE_PS
 from tests import golden
 from tests.test_determinism import scale_record, scale_world
-from tests.test_faults import tcp_bulk_run
 
 
 # -- the deterministic hash and flow identity -------------------------------
@@ -146,7 +146,7 @@ def smp_lossy_cc(cores):
     the delivered digest plus both ends' congestion-event digests."""
     import hashlib
 
-    tb, client, server, delivered = tcp_bulk_run(
+    tb, client, server, delivered, _ = tcp_bulk_transfer(
         42, 32_000, ncores=cores, knobs=dict(drop=0.1))
     obs = (hashlib.sha256(delivered).hexdigest(),
            client.congestion_digest(), server.congestion_digest())

@@ -10,22 +10,10 @@ inside its pinned isolation bound.  Each cell's observables digest must
 match its committed golden (``tests/golden/sweep_smoke.json``).
 """
 
-import importlib.util
 import json
 import os
 
-from tests import golden
-
-
-def _load_driver():
-    path = os.path.join(
-        os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-        "benchmarks", "sweep_driver.py",
-    )
-    spec = importlib.util.spec_from_file_location("sweep_driver", path)
-    mod = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(mod)
-    return mod
+from tests import golden, load_bench_script
 
 
 def sweep_smoke_records(doc: dict) -> dict:
@@ -42,7 +30,7 @@ def sweep_smoke_records(doc: dict) -> dict:
 
 
 def test_smoke_grid_green(tmp_path):
-    driver = _load_driver()
+    driver = load_bench_script("sweep_driver")
     out = tmp_path / "liveops_sweep_smoke.json"
     assert driver.main(["--smoke", "--out", str(out)]) == 0
     with open(out) as fh:
@@ -82,7 +70,7 @@ def test_smoke_grid_green(tmp_path):
 def test_committed_full_grid_baseline_schema_clean():
     """The checked-in BENCH_liveops.json (full grid) stays loadable,
     schema-clean, and covers every pinned recovery bound."""
-    driver = _load_driver()
+    driver = load_bench_script("sweep_driver")
     path = os.path.join(
         os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
         "BENCH_liveops.json",

@@ -9,14 +9,14 @@ loss pattern exactly.
 
 import pytest
 
-from tests.test_faults import tcp_bulk_run
+from repro.bench.workloads import tcp_bulk_transfer
 
 
 def run_lossy_transfer(seed: int, loss_rate: float, nbytes: int,
                        use_ash: bool = False) -> bytes:
     """Transfer nbytes under random loss; returns what the server got
-    (``tcp_bulk_run`` checks it byte for byte)."""
-    tb, _client, _server, got = tcp_bulk_run(
+    (``tcp_bulk_transfer`` checks it byte for byte)."""
+    tb, _client, _server, got, _ = tcp_bulk_transfer(
         seed, nbytes, knobs=dict(drop=loss_rate),
         mode="ash" if use_ash else None)
     assert tb.fault_plane.total("drop") > 0, "loss pattern never fired"

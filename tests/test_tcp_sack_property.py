@@ -12,9 +12,9 @@ import random
 
 import pytest
 
+from repro.bench.workloads import tcp_bulk_transfer
 from repro.net.tcp.sack import ReassemblyQueue, SackScoreboard
 from tests import golden
-from tests.test_faults import tcp_bulk_run
 
 MSS = 1000
 
@@ -180,7 +180,7 @@ def test_reassembly_refuses_beyond_limit_without_reneging():
 # -- end-to-end under FaultPlane schedules ----------------------------------
 
 def _lossy_run(seed, nbytes=40_000, **impair):
-    _tb, client, server, _ = tcp_bulk_run(seed, nbytes, knobs=impair)
+    _tb, client, server, _, _ = tcp_bulk_transfer(seed, nbytes, knobs=impair)
     return client, server
 
 

@@ -1,8 +1,6 @@
 """Tests for the telemetry subsystem: registry, spans, accounting, export."""
 
-import importlib.util
 import json
-import os
 
 import pytest
 
@@ -30,17 +28,7 @@ from repro.telemetry import (
     MetricsRegistry,
     Telemetry,
 )
-
-
-def _load_schema_checker():
-    path = os.path.join(
-        os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-        "benchmarks", "check_metrics_schema.py",
-    )
-    spec = importlib.util.spec_from_file_location("check_metrics_schema", path)
-    mod = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(mod)
-    return mod
+from tests import load_bench_script
 
 
 # ---------------------------------------------------------------------------
@@ -289,7 +277,7 @@ class TestDilpAccounting:
 
 class TestExport:
     def test_metrics_and_chrome_exports_validate(self):
-        checker = _load_schema_checker()
+        checker = load_bench_script("check_metrics_schema")
         with telemetry.session() as sess:
             udp_pingpong(iters=1, warmup=0)
         metrics_doc = sess.export_metrics()
@@ -311,7 +299,7 @@ class TestExport:
         assert {"server", "client"} <= proc_names
 
     def test_schema_checker_rejects_garbage(self):
-        checker = _load_schema_checker()
+        checker = load_bench_script("check_metrics_schema")
         assert checker.validate_metrics({"schema": "nope"})
         assert checker.validate_chrome({"schema": "nope"})
         bad = {
