@@ -110,7 +110,6 @@ class RolloutController:
         self.latency_budget = latency_budget
         self.state = STAGED
         self.targets: list[RolloutTarget] = []
-        by_ep: dict[str, RolloutTarget] = {}
         for ep, old_id, new_id in targets:
             old = kernel.ash_system.entry(old_id)
             new = kernel.ash_system.entry(new_id)
@@ -119,10 +118,7 @@ class RolloutController:
                     f"{name}: ash {new_id} (v{new.version}) is not an "
                     f"upgrade of ash {old_id} (v{old.version})"
                 )
-            target = RolloutTarget(ep, old_id, new_id)
-            self.targets.append(target)
-            by_ep[ep.name] = target
-        self._by_ep = by_ep
+            self.targets.append(RolloutTarget(ep, old_id, new_id))
         # deterministic cohort: rank flows by FNV-1a of the endpoint
         # name (salted with the rollout name) and canary the lowest
         # ceil(fraction * n), at least one — no clocks, no random module
@@ -144,10 +140,6 @@ class RolloutController:
         self._slo_baseline: Optional[int] = None
 
     # -- cohort ---------------------------------------------------------
-    def is_canary(self, ep: "Endpoint") -> bool:
-        target = self._by_ep.get(ep.name)
-        return target is not None and target.canary
-
     def canary_flows(self) -> list[str]:
         return sorted(t.ep.name for t in self.targets if t.canary)
 
@@ -302,25 +294,6 @@ class RolloutController:
             return 0
         return (len(tel.slo.violations)
                 + tel.slo.violations_dropped)
-
-    def reapply(self) -> None:
-        """Re-assert the bindings the current state implies.
-
-        Normally unnecessary — a crash mid-rollout reboots back into the
-        right configuration through the kernel's boot records (both
-        versions have their own records, and each endpoint's record
-        snapshots whichever version was bound at crash time).  This is a
-        belt for worlds where an endpoint lost its handler for another
-        reason (e.g. a re-install refused under memory pressure)."""
-        for target in self.targets:
-            if self.state == PROMOTED:
-                want = target.new_id
-            elif self.state == CANARY and target.canary:
-                want = target.new_id
-            else:
-                want = target.old_id
-            if self.kernel.ash_system.has(want):
-                self._swap(target.ep, want)
 
     # -- introspection --------------------------------------------------
     def snapshot(self) -> dict:

@@ -8,7 +8,7 @@ two nodes, their kernels, and the wire between them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Optional
 
 from ..hw.calibration import Calibration, DEFAULT
@@ -108,53 +108,43 @@ def make_an2_pair(
     to place many independent pairs in one simulated world — the scale
     benchmark sweeps node count this way.
     """
-    if engine is None:
-        engine = Engine()
-    client = Node(engine, f"{name_prefix}client", cal, mem_size=mem_size,
-                  ncores=ncores, rx_batch=rx_batch)
-    server = Node(engine, f"{name_prefix}server", cal, mem_size=mem_size,
-                  ncores=ncores, rx_batch=rx_batch)
-    client_nic = client.add_nic(An2Nic(engine, cal, client.memory, "an2"))
-    server_nic = server.add_nic(An2Nic(engine, cal, server.memory, "an2"))
-    link = Link(
-        engine,
-        rate_bytes_per_s=cal.an2_rate_bytes_per_s,
-        latency_us=cal.an2_hw_oneway_us,
-        name=f"{name_prefix}an2-link",
-    )
-    client_nic.attach(link, 0)
-    server_nic.attach(link, 1)
-    Kernel(client, **(client_kernel_opts or {}))
-    Kernel(server, **(server_kernel_opts or {}))
-    return Testbed(engine, cal, client, server, link, client_nic, server_nic)
+    link = dict(rate_bytes_per_s=cal.an2_rate_bytes_per_s,
+                latency_us=cal.an2_hw_oneway_us)
+    return _make_pair(cal, An2Nic, "an2", link, client_kernel_opts,
+                      server_kernel_opts, mem_size=mem_size, engine=engine,
+                      name_prefix=name_prefix, ncores=ncores,
+                      rx_batch=rx_batch)
 
 
 def make_eth_pair(
     cal: Calibration = DEFAULT,
     client_kernel_opts: Optional[dict] = None,
     server_kernel_opts: Optional[dict] = None,
-    mem_size: int = 16 * 1024 * 1024,
-    engine: Optional[Engine] = None,
-    name_prefix: str = "",
-    ncores: int = 1,
-    rx_batch: Optional[int] = None,
 ) -> Testbed:
     """Two DECstations on the 10 Mb/s Ethernet."""
+    link = dict(rate_bytes_per_s=cal.eth_rate_bytes_per_s,
+                latency_us=cal.eth_dma_latency_us,
+                min_frame=cal.eth_min_frame)
+    return _make_pair(cal, EthernetNic, "eth", link, client_kernel_opts,
+                      server_kernel_opts, mem_size=16 * 1024 * 1024,
+                      engine=None, name_prefix="", ncores=1, rx_batch=None)
+
+
+def _make_pair(cal: Calibration, nic_cls, kind: str, link_kw: dict,
+               client_kernel_opts: Optional[dict],
+               server_kernel_opts: Optional[dict], *, mem_size: int,
+               engine: Optional[Engine], name_prefix: str, ncores: int,
+               rx_batch: Optional[int]) -> Testbed:
+    """Two nodes, one ``nic_cls`` NIC each, joined by one link."""
     if engine is None:
         engine = Engine()
     client = Node(engine, f"{name_prefix}client", cal, mem_size=mem_size,
                   ncores=ncores, rx_batch=rx_batch)
     server = Node(engine, f"{name_prefix}server", cal, mem_size=mem_size,
                   ncores=ncores, rx_batch=rx_batch)
-    client_nic = client.add_nic(EthernetNic(engine, cal, client.memory, "eth"))
-    server_nic = server.add_nic(EthernetNic(engine, cal, server.memory, "eth"))
-    link = Link(
-        engine,
-        rate_bytes_per_s=cal.eth_rate_bytes_per_s,
-        latency_us=cal.eth_dma_latency_us,
-        min_frame=cal.eth_min_frame,
-        name=f"{name_prefix}eth-link",
-    )
+    client_nic = client.add_nic(nic_cls(engine, cal, client.memory, kind))
+    server_nic = server.add_nic(nic_cls(engine, cal, server.memory, kind))
+    link = Link(engine, name=f"{name_prefix}{kind}-link", **link_kw)
     client_nic.attach(link, 0)
     server_nic.attach(link, 1)
     Kernel(client, **(client_kernel_opts or {}))

@@ -658,13 +658,13 @@ def tcp_bulk_transfer(
 # live operations: hot ASH upgrade with staged canary rollout
 # ---------------------------------------------------------------------------
 
-def _build_increment_v2(kind: str, slow_insns: int):
+def _build_increment_v2(kind: str):
     """A v2 of the remote-increment handler for the rollout workload.
 
     ``identical`` — byte-for-byte the v1 behaviour (a routine redeploy);
     ``divergent`` — increments by *twice* the message amount (a buggy
     release the digest guard must catch);
-    ``slow`` — v1 behaviour plus ``slow_insns`` of straight-line padding
+    ``slow`` — v1 behaviour plus 2000 straight-line padding instructions
     (a performance regression the latency guard must catch; kept far
     below the two-tick abort budget so it degrades, not aborts).
     """
@@ -682,7 +682,7 @@ def _build_increment_v2(kind: str, slow_insns: int):
         one = b.getreg()
         b.v_li(pad, 0)
         b.v_li(one, 1)
-        for _ in range(slow_insns):
+        for _ in range(2000):
             b.v_addu(pad, pad, one)
         b.putreg(pad)
         b.putreg(one)
@@ -717,12 +717,8 @@ def canary_rollout(
     staged_rounds: int = 4,
     canary_rounds: int = 4,
     post_rounds: int = 2,
-    fraction: float = 0.25,
     v2: str = "identical",
-    latency_budget: float = 0.25,
-    slow_insns: int = 2000,
     crash_during_canary: bool = False,
-    crash_outage_us: float = 500.0,
     scenario: Optional[Callable[[Testbed], None]] = None,
     fault_seed: int = 11,
 ) -> dict:
@@ -737,9 +733,10 @@ def canary_rollout(
     capture), canary (a deterministic cohort on v2), post-verdict — and
     the :class:`~repro.ash.liveops.RolloutController` promotes or rolls
     back from the captured digests/latencies.  ``crash_during_canary``
-    crashes and reboots the *server* kernel between canary rounds: the
-    version bindings ride the boot-record replay, so the rollout must
-    come back in its canary configuration with zero lost messages.
+    crashes the *server* kernel between canary rounds and reboots it
+    500 µs later: the version bindings ride the boot-record replay, so
+    the rollout must come back in its canary configuration with zero
+    lost messages.
     ``scenario(tb)``, if given, installs faults on ``tb.fault_plane``
     (seeded with ``fault_seed``) before any handler is downloaded.
 
@@ -771,13 +768,12 @@ def canary_rollout(
         )
         sk.ash_system.bind(srv_ep, v1_id)
         v2_id = sk.ash_system.install_version(
-            v1_id, _build_increment_v2(v2, slow_insns))
+            v1_id, _build_increment_v2(v2))
         srv_eps.append(srv_ep)
         cli_eps.append(cli_ep)
         targets.append((srv_ep, v1_id, v2_id))
 
-    ctrl = RolloutController(sk, targets, canary_fraction=fraction,
-                             latency_budget=latency_budget,
+    ctrl = RolloutController(sk, targets, latency_budget=0.25,
                              name=f"canary-{v2}")
     counts = {"sent": 0, "received": 0}
     last_value = [0] * flows
@@ -822,7 +818,8 @@ def canary_rollout(
 
             slo_tel.slo.add_rule(SloRule(
                 "canary_latency",
-                max_latency_us=_mean(staged_lat) * (1.0 + latency_budget),
+                max_latency_us=(_mean(staged_lat)
+                                * (1.0 + ctrl.latency_budget)),
             ))
         ctrl.start_canary()
         for r in range(canary_rounds):
@@ -832,7 +829,7 @@ def canary_rollout(
                 # been answered, so nothing is in flight to lose — the
                 # canary bindings must ride the boot-record replay back
                 sk.crash()
-                yield from proc.compute_us(crash_outage_us)
+                yield from proc.compute_us(500.0)
                 sk.reboot()
         ctrl.evaluate()
         for _ in range(post_rounds):
@@ -966,34 +963,34 @@ def _am_flow(tb, manager, tenant: str, req_vci: int, reply_vci: int):
     return srv_ep, cli_ep, state.base
 
 
-def _install_abuse(tb, manager, scenario: str, perturbed: bool,
-                   fault_seed: int, abuse_at_us: float):
+def _install_abuse(tb, manager, scenario: str, perturbed: bool):
     """Attach the scenario's tenant-scoped injectors (perturbed runs
-    only — the baseline is the identical world minus the abuse)."""
+    only — the baseline is the identical world minus the abuse) on a
+    plane seeded 7; a scripted abuse starts 700 µs in."""
     if not perturbed:
         return
     from ..sandbox.rewriter import BudgetPolicy, SandboxPolicy
 
-    plane = tb.attach_fault_plane(seed=fault_seed)
+    plane = tb.attach_fault_plane(seed=7)
     static = SandboxPolicy(budget=BudgetPolicy.STATIC_ESTIMATE)
     if scenario == "flood":
         plane.flood_tenant(tb.server_nic, AGGRESSOR_VCI,
                            frame_bytes=4000, count=40,
-                           start_us=abuse_at_us, gap_us=37.0)
+                           start_us=700.0, gap_us=37.0)
     elif scenario == "leak":
         plane.leak_tenant(manager, "mallory")
     elif scenario == "hog_install":
-        plane.script_tenant(manager, "mallory", at_us=abuse_at_us,
+        plane.script_tenant(manager, "mallory", at_us=700.0,
                             action="install_hog",
                             program=_build_sink(4000, "hog"),
                             allowed_regions=[], policy=static, attempts=4)
     elif scenario == "crash_loop":
-        plane.script_tenant(manager, "mallory", at_us=abuse_at_us,
+        plane.script_tenant(manager, "mallory", at_us=700.0,
                             action="install_crashloop",
                             program=_build_spin(),
                             allowed_regions=[], policy=static, attempts=4)
     elif scenario == "tenant_crash":
-        plane.script_tenant(manager, "mallory", at_us=abuse_at_us,
+        plane.script_tenant(manager, "mallory", at_us=700.0,
                             action="crash")
     elif scenario == "hog_runtime":
         plane.hog_tenant(manager, "mallory", factor=64)
@@ -1014,10 +1011,6 @@ def tenant_world(
     scenario: str = "flood",
     perturbed: bool = True,
     rounds: int = 10,
-    slot_us: float = 60.0,
-    payload_kb: int = 24,
-    abuse_at_us: float = 700.0,
-    fault_seed: int = 7,
 ) -> dict:
     """A multi-tenant world with one abusive tenant, and the receipts.
 
@@ -1040,9 +1033,9 @@ def tenant_world(
     Slot-paced scenarios (``tenant_crash`` / ``hog_runtime`` /
     ``abort_runtime``): the abuse perturbs how much CPU the aggressor's
     *handler* burns, so two AM victims (``bob``, ``carol``) and the
-    aggressor take strictly interleaved slots wide enough
-    (``slot_us``) that the aggressor's divergence drains before a
-    victim's next message arrives.
+    aggressor take strictly interleaved 60 µs slots, wide enough that
+    the aggressor's divergence drains before a victim's next message
+    arrives.
     """
     from ..ash.tenancy import TenantManager
 
@@ -1087,7 +1080,7 @@ def tenant_world(
                                    allowed_regions=[])
         sk.ash_system.bind(mal_ep, sink_id)
 
-    _install_abuse(tb, manager, scenario, perturbed, fault_seed, abuse_at_us)
+    _install_abuse(tb, manager, scenario, perturbed)
 
     observables: dict = {
         "scenario": scenario,
@@ -1106,7 +1099,7 @@ def tenant_world(
         bob_ep, bob_cli, bob_counter = _am_flow(
             tb, manager, "bob", AM_VICTIM_VCI, AM_REPLY_VCI)
 
-        total_bytes = payload_kb * 1024
+        total_bytes = 24 * 1024
         rx_hash = hashlib.sha256()
         tcp_span = {}
         bob_lat: list[float] = []
@@ -1198,7 +1191,7 @@ def tenant_world(
                 # the abuse causes server-side drains within the slot
                 yield from ck.sys_net_send(
                     proc, tb.client_nic, Frame(agg_frame, vci=AGGRESSOR_VCI))
-                yield from proc.compute_us(slot_us)
+                yield from proc.compute_us(60.0)
                 for name, (srv_ep, cli_ep, _base) in flows.items():
                     t0 = proc.engine.now
                     yield from ck.sys_net_send(
@@ -1209,7 +1202,7 @@ def tenant_world(
                         tb.client.memory.read(desc.addr, desc.length)))
                     yield from ck.sys_replenish(proc, cli_ep, desc)
                     lat[name].append(to_us(proc.engine.now - t0))
-                    yield from proc.compute_us(slot_us)
+                    yield from proc.compute_us(60.0)
 
         client_proc = ck.spawn_process("client", client)
         for _name, (_srv, cli_ep, _base) in flows.items():
@@ -1240,14 +1233,12 @@ def tenant_noisy_neighbor(
     intensity_fps: int = 0,
     protected: bool = True,
     total_kb: int = 96,
-    frame_bytes: int = 1024,
-    duration_s: float = 0.04,
 ) -> dict:
     """The goodput-isolation experiment behind ``BENCH_tenancy.json``.
 
     A victim TCP bulk transfer (tenant ``alice``) shares the server
     with an aggressor (``mallory``) whose circuit is blasted with
-    ``intensity_fps`` frames/s of ``frame_bytes`` junk, injected
+    ``intensity_fps`` frames/s of 1 KB junk for 40 ms, injected
     straight at the server NIC.  The aggressor's server application
     dutifully replenishes every delivered frame, so each *admitted*
     frame costs real interrupts, DMA and CPU.
@@ -1288,8 +1279,8 @@ def tenant_noisy_neighbor(
     if intensity_fps > 0:
         plane = tb.attach_fault_plane(seed=3)
         plane.flood_tenant(
-            tb.server_nic, AGGRESSOR_VCI, frame_bytes=frame_bytes,
-            count=max(1, int(intensity_fps * duration_s)),
+            tb.server_nic, AGGRESSOR_VCI, frame_bytes=1024,
+            count=max(1, int(intensity_fps * 0.04)),
             start_us=50.0, gap_us=1e6 / intensity_fps)
 
     total_bytes = total_kb * 1024

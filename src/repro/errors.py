@@ -61,10 +61,6 @@ class SandboxViolation(ReproError):
     """
 
 
-class AshAbort(ReproError):
-    """A *voluntary* abort requested by the handler's own protocol code."""
-
-
 class AllocationError(ReproError):
     """An allocation refused under injected memory pressure.
 

@@ -203,7 +203,3 @@ class DirectMappedCache:
     def contains(self, addr: int) -> bool:
         line_addr = addr - (addr % self.line)
         return self._tags[self._index(line_addr)] == line_addr
-
-    def reset_stats(self) -> None:
-        self.hits = 0
-        self.misses = 0

@@ -90,10 +90,6 @@ class Cpu:
         finally:
             lock.release()
 
-    def _should_yield_to_waiter(self, prio: int) -> bool:
-        waiting = self.lock.waiting_priority()
-        return waiting is not None and waiting < prio
-
     # -- convenience wrappers -------------------------------------------------
     def exec_us(
         self, usec: float, prio: int = PRIO_USER, quantum: Optional[int] = None

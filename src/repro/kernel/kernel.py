@@ -25,7 +25,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Generator, Optional
 
-from ..errors import DemuxError
 from ..hw.calibration import Calibration, PRIO_INTERRUPT, PRIO_KERNEL
 from ..hw.link import Frame
 from ..hw.nic.an2 import An2Nic
@@ -44,6 +43,9 @@ __all__ = ["Endpoint", "Kernel"]
 
 #: in-kernel handler: fn(kernel, endpoint, desc) -> generator -> consumed?
 KernelHandler = Callable[["Kernel", "Endpoint", RxDescriptor], Generator]
+
+#: kernel-side copy buffers per Ethernet endpoint
+ETH_KBUFS = 8
 
 
 @dataclass
@@ -220,17 +222,17 @@ class Kernel(SyscallInterface):
         predicates: list[Predicate],
         owner: Optional[Process] = None,
         name: Optional[str] = None,
-        nkbufs: int = 8,
     ) -> Endpoint:
         """Install a DPF filter and the kernel-side copy buffers."""
         fid = self.dpf.insert(predicates)
         name = name or f"{nic.name}.f{fid}"
         buf_size = self.cal.eth_mtu + 32
-        region = self.node.memory.alloc(f"{name}.kbufs", nkbufs * buf_size)
+        region = self.node.memory.alloc(f"{name}.kbufs",
+                                        ETH_KBUFS * buf_size)
         ep = Endpoint(
             name=name, nic=nic, filter_id=fid, owner=owner,
             ring=Channel(self.engine, f"{name}.ring"), buf_size=buf_size,
-            kbufs=[region.base + i * buf_size for i in range(nkbufs)],
+            kbufs=[region.base + i * buf_size for i in range(ETH_KBUFS)],
             predicates=list(predicates),
         )
         self.endpoints.append(ep)

@@ -93,7 +93,11 @@ class Process:
         ``cpu.exec`` (acquire, one quantum timeout, release — no
         mid-slice preemption check) is unrolled here rather than paying
         a fresh ``exec`` generator and a deeper ``yield from`` chain per
-        chunk.  The yielded event sequence is identical.
+        chunk.  The yielded events match ``exec``'s with one difference:
+        the unrolled loop never calls ``cpu.contention.steal()``, so a
+        :class:`~repro.sim.faults.CpuContention` injector stretches
+        kernel and interrupt-context work but never user compute.  The
+        golden digests pin that behaviour.
         """
         cpu = self.cpu
         remaining = int(cycles)

@@ -8,14 +8,15 @@ crossings and the kernel path, then performs the operation.
 
 The interface is deliberately small — an exokernel exposes the hardware,
 not abstractions: send a frame, poll/await the notification ring,
-replenish receive buffers, download/bind handlers.
+replenish receive buffers.  Handlers are downloaded and bound through
+:class:`~repro.ash.system.AshSystem` directly, untimed: that is
+control-plane work, off the message path the tables measure.
 """
 
 from __future__ import annotations
 
-from typing import Any, Generator, Optional, TYPE_CHECKING
+from typing import Generator, TYPE_CHECKING
 
-from ..hw.calibration import PRIO_KERNEL
 from ..hw.link import Frame
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -65,43 +66,3 @@ class SyscallInterface:
         """
         yield from self._replenish(ep, desc)
 
-    # -- handler management ----------------------------------------------
-    def sys_ash_download(self, proc: "Process", program,
-                         allowed_regions, user_word: int = 0,
-                         policy=None) -> Generator:
-        """Download an ASH: verify + sandbox + install; returns its id."""
-        yield from proc.syscall_enter()
-        ash_id = self.ash_system.download(
-            program, allowed_regions, user_word=user_word, policy=policy
-        )
-        # Verification and rewriting are download-time work; charge a
-        # token amount per instruction (it is off the fast path).
-        yield from proc.cpu.exec(2 * len(program.insns), PRIO_KERNEL)
-        yield from proc.syscall_exit()
-        return ash_id
-
-    def sys_ash_install_version(self, proc: "Process", old_id: int,
-                                program, **overrides) -> Generator:
-        """Download a new version of an installed handler: verified and
-        sandboxed like any download, registered as ``old_id``'s upgrade
-        lineage successor.  Both versions coexist until endpoints are
-        rebound (the canary rollout's atomic swap seam); returns the new
-        id."""
-        yield from proc.syscall_enter()
-        new_id = self.ash_system.install_version(old_id, program,
-                                                 **overrides)
-        yield from proc.cpu.exec(2 * len(program.insns), PRIO_KERNEL)
-        yield from proc.syscall_exit()
-        return new_id
-
-    def sys_ash_bind(self, proc: "Process", ep: "Endpoint",
-                     ash_id: Optional[int]) -> Generator:
-        yield from proc.syscall_enter()
-        ep.ash_id = ash_id
-        yield from proc.syscall_exit()
-
-    def sys_upcall_register(self, proc: "Process", ep: "Endpoint",
-                            handler) -> Generator:
-        yield from proc.syscall_enter()
-        ep.upcall = handler
-        yield from proc.syscall_exit()

@@ -8,14 +8,6 @@ from .checksum import (
     le_word_sum,
     swab16,
 )
-from .compose import (
-    LayerContext,
-    ProtocolFragment,
-    ProtocolStack,
-    ethernet_fragment,
-    ipv4_fragment,
-    udp_fragment,
-)
 from .datapath import DataPath
 from .headers import (
     ArpPacket,
@@ -42,12 +34,6 @@ __all__ = [
     "le_word_sum",
     "swab16",
     "DataPath",
-    "LayerContext",
-    "ProtocolFragment",
-    "ProtocolStack",
-    "ethernet_fragment",
-    "ipv4_fragment",
-    "udp_fragment",
     "ArpPacket",
     "EthernetHeader",
     "Ipv4Header",

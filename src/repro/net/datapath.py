@@ -18,15 +18,12 @@ accumulation domain (see :mod:`repro.net.checksum`).
 
 from __future__ import annotations
 
-from typing import Optional
-
 import numpy as np
 
 from ..hw.cache import DirectMappedCache
 from ..hw.calibration import Calibration
 from ..hw.node import Node
 from ..pipes import PIPE_WRITE, compile_pl, mk_cksum_pipe, pipel
-from .checksum import le_fold_final
 
 __all__ = ["DataPath"]
 
@@ -113,12 +110,12 @@ class DataPath:
         return cycles
 
     # -- checksums ----------------------------------------------------------
-    def checksum(self, addr: int, nbytes: int, init: int = 0) -> tuple[int, int]:
+    def checksum(self, addr: int, nbytes: int) -> tuple[int, int]:
         """Separate checksum pass; returns (le-domain acc32, cycles)."""
         if nbytes == 0:
-            return init, _LOOP_FIXED
+            return 0, _LOOP_FIXED
         whole = nbytes - nbytes % 4
-        total = init
+        total = 0
         if whole:
             words = self.mem.u32_window(addr, whole).astype(np.uint64)
             total += int(words.sum())
@@ -134,20 +131,14 @@ class DataPath:
         self._record("checksum", nbytes, cycles)
         return total, cycles
 
-    def checksum_final(self, addr: int, nbytes: int, init: int = 0) -> tuple[int, int]:
-        """As :meth:`checksum` but folded and complemented (wire value,
-        little-endian domain)."""
-        acc, cycles = self.checksum(addr, nbytes, init)
-        return le_fold_final(acc), cycles + 4  # fold is a few instructions
-
     # -- integrated (DILP) --------------------------------------------------
     def copy_checksum_integrated(
-        self, src: int, dst: int, nbytes: int, init: int = 0
+        self, src: int, dst: int, nbytes: int
     ) -> tuple[int, int]:
         """One traversal: copy + checksum via the DILP engine.
 
         Returns (le-domain acc32, cycles).  Requires nbytes % 4 == 0.
         """
-        self._pl.export(self._cksum_pipe_id, "cksum", init)
+        self._pl.export(self._cksum_pipe_id, "cksum", 0)
         cycles = self._integrated.run_fast(self.mem, src, dst, nbytes, self.cache)
         return self._pl.import_(self._cksum_pipe_id, "cksum"), cycles

@@ -9,10 +9,9 @@ the configuration every example uses.
 
 from __future__ import annotations
 
-from typing import Generator, Optional, TYPE_CHECKING
+from typing import Generator, TYPE_CHECKING
 
 from ..bench.testbed import Testbed
-from .headers import ip_aton
 from .stack import NetStack
 from .tcp import TcpConnection
 
@@ -55,10 +54,6 @@ class TcpSocket:
 
     def close(self, proc: "Process") -> Generator:
         yield from self.conn.close(proc)
-
-    @property
-    def eof(self) -> bool:
-        return self.conn.peer_fin and self.conn.tcb.shared.available == 0
 
 
 def make_stacks(tb: Testbed, client_ip: str = "10.0.0.1",

@@ -25,10 +25,10 @@ even when a kernel-resident handler is the one consuming the ACKs.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
-from ...hw.memory import PhysicalMemory, Region
+from ...hw.memory import PhysicalMemory
 from ...sim.queues import TimerWheel
 
 __all__ = ["TcpState", "SharedTcb", "Tcb", "seq_lt", "seq_lte",
@@ -261,8 +261,3 @@ class Tcb:
         cwnd = self.shared.cwnd or self.snd_wnd
         flight = self.snd_inflight - sacked_below_nxt
         return max(0, min(self.snd_wnd, self.rcv_wnd, cwnd) - flight)
-
-    @property
-    def send_window_open(self) -> int:
-        """Bytes the window currently allows us to put in flight."""
-        return self.window_open(0)

@@ -21,11 +21,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Generator, Optional, TYPE_CHECKING
 
-from ..errors import ChecksumError, ProtocolError
+from ..errors import ProtocolError
 from ..kernel.dpf import Predicate
 from .headers import (
     ETHERTYPE_IP,
-    EthernetHeader,
     IPPROTO_UDP,
     Ipv4Header,
     UdpHeader,
@@ -62,7 +61,6 @@ class UdpSocket:
         rx_vci: Optional[int] = None,
         checksum: bool = True,
         in_place: bool = False,
-        app_buf_size: int = 65536,
         name: Optional[str] = None,
     ):
         self.stack = stack
@@ -93,7 +91,7 @@ class UdpSocket:
             )
         mem = self.kernel.node.memory
         self._staging = mem.alloc(f"{name}.staging", 65536)
-        self._app_buf = mem.alloc(f"{name}.appbuf", app_buf_size)
+        self._app_buf = mem.alloc(f"{name}.appbuf", 65536)
         self.tel = self.kernel.node.telemetry
         self.rx_datagrams = 0
         self.tx_datagrams = 0
@@ -148,7 +146,7 @@ class UdpSocket:
             )
 
     # -- receive -------------------------------------------------------------
-    def recvfrom(self, proc: "Process", block: bool = False) -> Generator:
+    def recvfrom(self, proc: "Process") -> Generator:
         """Receive one datagram; returns a :class:`UdpDatagram`.
 
         Datagrams failing checksum verification are dropped (counted),
@@ -159,10 +157,7 @@ class UdpSocket:
         cal = self.cal
         mem = kernel.node.memory
         while True:
-            if block:
-                desc = yield from kernel.sys_recv_block(proc, self.endpoint)
-            else:
-                desc = yield from kernel.sys_recv_poll(proc, self.endpoint)
+            desc = yield from kernel.sys_recv_poll(proc, self.endpoint)
             # a zero-copy view of the receive buffer; every slice
             # below stays a view until materialized
             ip_addr, ip_len, raw = stack.read_ip_packet(desc)

@@ -70,11 +70,6 @@ class PipeList:
             )
         return self.state[key]
 
-    @property
-    def all_fast(self) -> bool:
-        """True when every pipe has a vectorized fast path."""
-        return all(p.has_fast_path for p in self.pipes)
-
 
 def pipel(expected: int = 0, name: str = "pl") -> PipeList:
     """Create a pipe list (the paper's ``pipel(n)`` constructor)."""

@@ -338,14 +338,11 @@ class Engine:
     wheel-resident timers) that pops in strict ``(time, seq)`` order.
     """
 
-    def __init__(self, timer_horizon_us: Optional[float] = None) -> None:
+    def __init__(self) -> None:
         self._now = 0
         self._seq = 0
-        if timer_horizon_us is None:
-            timer_horizon_us = DEFAULT_TIMER_HORIZON_US
-        self.timer_horizon_us = timer_horizon_us
         self._queue = CalendarQueue.for_horizon(
-            int(timer_horizon_us * 1_000_000))
+            int(DEFAULT_TIMER_HORIZON_US * 1_000_000))
         self._crashes: list[tuple[SimProcess, BaseException]] = []
         #: monotonic trace-id mint (telemetry trace context).  Lives on
         #: the engine so ids are unique across every node sharing the

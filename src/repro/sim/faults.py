@@ -122,16 +122,14 @@ class LinkImpairment(_Injector):
     Rates are independent per-frame probabilities, drawn in a fixed
     order (drop, corrupt, duplicate, reorder, jitter) so each knob's
     pattern is a deterministic function of the seed and the frame
-    sequence.  A dropped frame consumes no further draws.
+    sequence.  A dropped frame consumes no further draws.  A duplicate
+    trails its original by 5 µs; a reordered frame is held 150 µs.
     """
 
     def __init__(self, plane: "FaultPlane", link: "Link",
                  drop: float = 0.0, corrupt: float = 0.0,
                  duplicate: float = 0.0, reorder: float = 0.0,
                  delay_jitter_us: float = 0.0,
-                 reorder_delay_us: float = 150.0,
-                 duplicate_gap_us: float = 5.0,
-                 ends: tuple[int, ...] = (0, 1),
                  skip_first: int = 0,
                  start_us: Optional[float] = None,
                  stop_us: Optional[float] = None):
@@ -143,15 +141,14 @@ class LinkImpairment(_Injector):
         self.duplicate = duplicate
         self.reorder = reorder
         self.jitter_ticks = us(delay_jitter_us)
-        self.reorder_ticks = us(reorder_delay_us)
-        self.dup_gap_ticks = us(duplicate_gap_us)
-        self.ends = tuple(ends)
+        self.reorder_ticks = us(150.0)
+        self.dup_gap_ticks = us(5.0)
 
     def on_send(self, from_end: int, frame: "Frame",
                 arrival: int) -> list[tuple[int, "Frame"]]:
         """Deliveries for one transmitted frame: ``[(tick, frame), ...]``
         (empty = the wire ate it)."""
-        if from_end not in self.ends or not self._gate():
+        if not self._gate():
             return [(arrival, frame)]
         rng = self.rng
         plane = self.plane
@@ -251,8 +248,6 @@ class AshAbortInjector(_Injector):
 
     def __init__(self, plane: "FaultPlane", kernel: "Kernel",
                  every: Optional[int] = None, rate: float = 0.0,
-                 max_aborts: Optional[int] = None,
-                 abort_budget: Optional[int] = None,
                  skip_first: int = 0,
                  start_us: Optional[float] = None,
                  stop_us: Optional[float] = None):
@@ -263,17 +258,13 @@ class AshAbortInjector(_Injector):
         self.kernel = kernel
         self.every = every
         self.rate = rate
-        self.max_aborts = max_aborts
-        self.budget = (abort_budget if abort_budget is not None
-                       else forced_abort_budget(kernel.cal))
+        self.budget = forced_abort_budget(kernel.cal)
         self.fired = 0
 
     def consider(self) -> Optional[int]:
         """Called once per ASH invocation; returns the forced (tiny)
         cycle budget when this invocation must abort, else None."""
         if not self._gate():
-            return None
-        if self.max_aborts is not None and self.fired >= self.max_aborts:
             return None
         fire = False
         if self.every:
@@ -374,7 +365,6 @@ class MemPressure(_Injector):
 
     def __init__(self, plane: "FaultPlane", node: "Node",
                  rate: float = 0.0,
-                 rates: Optional[dict] = None,
                  sites: Optional[tuple] = None,
                  max_failures: Optional[int] = None,
                  skip_first: int = 0,
@@ -385,8 +375,6 @@ class MemPressure(_Injector):
         self.node = node
         chosen = tuple(sites) if sites is not None else self.DEFAULT_SITES
         self.rates: dict[str, float] = {site: rate for site in chosen}
-        if rates:
-            self.rates.update(rates)
         self.max_failures = max_failures
         self.fired = 0
         self._site_rng: dict[str, random.Random] = {}
@@ -424,7 +412,7 @@ class MemPressure(_Injector):
 
 
 class CpuContention(_Injector):
-    """Seeded cycle-stealing bursts on one CPU.
+    """Seeded cycle-stealing bursts on a node's first CPU.
 
     Installed as ``cpu.contention``.  Two seams consume the stream in
     seam-call order:
@@ -443,28 +431,19 @@ class CpuContention(_Injector):
     def __init__(self, plane: "FaultPlane", node: "Node",
                  rate: float = 0.0, burst_cycles: int = 400,
                  budget_rate: Optional[float] = None,
-                 max_bursts: Optional[int] = None,
                  skip_first: int = 0,
                  start_us: Optional[float] = None,
-                 stop_us: Optional[float] = None,
-                 core: int = 0):
-        super().__init__(plane, f"cpu:{node.name}" if core == 0
-                         else f"cpu:{node.name}.c{core}", skip_first,
+                 stop_us: Optional[float] = None):
+        super().__init__(plane, f"cpu:{node.name}", skip_first,
                          start_us, stop_us)
-        #: which core the bursts land on (an SMP node contends per-core:
-        #: stealing cycles from core 2 never slows work pinned to core 0)
-        self.core = core
-        self.cpu: "Cpu" = node.cpus[core]
+        self.cpu: "Cpu" = node.cpus[0]
         self.rate = rate
         self.burst_cycles = burst_cycles
         self.budget_rate = rate if budget_rate is None else budget_rate
-        self.max_bursts = max_bursts
         self.fired = 0
 
     def _burst(self, rate: float) -> int:
         if not self._gate():
-            return 0
-        if self.max_bursts is not None and self.fired >= self.max_bursts:
             return 0
         if not rate or self.rng.random() >= rate:
             return 0
@@ -548,7 +527,6 @@ class TenantLeak(_Injector):
     """
 
     def __init__(self, plane: "FaultPlane", manager, tenant: str,
-                 rate: float = 1.0, max_leaks: Optional[int] = None,
                  skip_first: int = 0,
                  start_us: Optional[float] = None,
                  stop_us: Optional[float] = None):
@@ -556,18 +534,12 @@ class TenantLeak(_Injector):
         super().__init__(plane, f"tenantleak:{node}:{tenant}",
                          skip_first, start_us, stop_us)
         self.tenant = manager.get(tenant)
-        self.rate = rate
-        self.max_leaks = max_leaks
         self.fired = 0
         self.tenant.leak_injector = self
 
     def on_replenish(self) -> bool:
         """One replenish by the tenant; True = leak (swallow) it."""
         if not self._gate():
-            return False
-        if self.max_leaks is not None and self.fired >= self.max_leaks:
-            return False
-        if self.rate < 1.0 and self.rng.random() >= self.rate:
             return False
         self.fired += 1
         self.plane.record("tenant_leak", self.site)
@@ -617,9 +589,7 @@ class TenantAbortLoop(_Injector):
     """
 
     def __init__(self, plane: "FaultPlane", manager, tenant: str,
-                 every: int = 1, max_aborts: Optional[int] = None,
-                 abort_budget: Optional[int] = None,
-                 skip_first: int = 0,
+                 every: int = 1, skip_first: int = 0,
                  start_us: Optional[float] = None,
                  stop_us: Optional[float] = None):
         node = manager.kernel.node.name
@@ -631,9 +601,7 @@ class TenantAbortLoop(_Injector):
             raise SimError(f"TenantAbortLoop every must be >= 1: {every}")
         self.tenant = manager.get(tenant)
         self.every = every
-        self.max_aborts = max_aborts
-        self.budget = (abort_budget if abort_budget is not None
-                       else forced_abort_budget(manager.cal))
+        self.budget = forced_abort_budget(manager.cal)
         self.fired = 0
         self.tenant.abort_injector = self
 
@@ -641,8 +609,6 @@ class TenantAbortLoop(_Injector):
         """Called once per invocation on the tenant's endpoints; returns
         the forced budget when this invocation must abort, else None."""
         if not self._gate():
-            return None
-        if self.max_aborts is not None and self.fired >= self.max_aborts:
             return None
         if self.seen % self.every != 0:
             return None
@@ -780,8 +746,8 @@ class FaultPlane:
         return pressure
 
     def contend_cpu(self, node: "Node", **knobs) -> CpuContention:
-        """Install cycle-stealing bursts on one of ``node``'s CPUs
-        (``core=N`` picks which; see CpuContention)."""
+        """Install cycle-stealing bursts on ``node``'s first CPU (see
+        CpuContention)."""
         contention = CpuContention(self, node, **knobs)
         contention.cpu.contention = contention
         self.injectors.append(contention)

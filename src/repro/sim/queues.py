@@ -131,8 +131,7 @@ class CalendarQueue:
     NBUCKETS = 1024
 
     @classmethod
-    def for_horizon(cls, horizon_ticks: int,
-                    nbuckets: int = NBUCKETS) -> "CalendarQueue":
+    def for_horizon(cls, horizon_ticks: int) -> "CalendarQueue":
         """A queue whose wheel spans the observed timer horizon.
 
         The default 2 µs width was sized for back-to-back CPU/NIC
@@ -141,15 +140,15 @@ class CalendarQueue:
         full backed-off RTO) lands in the overflow heap — hundreds of
         ``overflow_spills`` per bench run, each one a heapq round-trip
         plus a tombstone on cancel.  Sizing the width as
-        ``horizon / nbuckets`` keeps those timers wheel-resident (O(1)
+        ``horizon / NBUCKETS`` keeps those timers wheel-resident (O(1)
         insert and cancel) at the cost of coarser buckets, which pop
         order is immune to: ``_due`` always re-sorts a bucket before
         dispatch, so simulated results are bit-identical either way.
         """
         if horizon_ticks <= 0:
             raise ValueError("horizon must be positive")
-        width = max(cls.WIDTH, -(-int(horizon_ticks) // nbuckets))
-        return cls(nbuckets=nbuckets, width=width)
+        width = max(cls.WIDTH, -(-int(horizon_ticks) // cls.NBUCKETS))
+        return cls(width=width)
 
     def __init__(self, nbuckets: int = NBUCKETS, width: int = WIDTH) -> None:
         if nbuckets <= 0 or width <= 0:

@@ -166,9 +166,6 @@ class SpanTracker:
         tel.flight.record("span", t, name=span.name, outcome=outcome,
                           trace=span.trace_id)
 
-    def open_spans(self) -> list[Span]:
-        return [s for s in self.spans if not s.finished]
-
     def snapshot(self, include_events: bool = True) -> dict:
         out = {
             "created": self._next_id - 1,

@@ -11,8 +11,6 @@ off.
 
 import random
 
-import pytest
-
 from repro import telemetry
 from repro.bench.testbed import make_an2_pair
 from repro.bench.workloads import tcp_bulk_transfer
@@ -245,7 +243,7 @@ class TestFlightRecorder:
         assert all(e["t"] <= pm["sim_time_ps"] for e in pm["events"])
         kinds = {e["kind"] for e in pm["events"]}
         assert "span" in kinds
-        assert "crash" in {e["kind"] for e in pm["events"]} or True
+        assert "crash" in kinds
         # the dump is a copy: post-crash traffic keeps recording
         tel = next(t for t in sess.telemetries if t.source == "server")
         assert tel.flight.recorded > pm["recorded"]
