@@ -4,17 +4,18 @@
 Two kinds of numbers come out of one run:
 
 * **Deterministic model metrics** — the simulated makespan of each
-  configuration (``sim_elapsed_us``) and the event throughput *per
-  simulated second* (``events_per_sim_s``).  These are pure functions
-  of the model and are bit-stable across hosts; ``sim_elapsed_us`` is
-  gated by ``check_bench_trend.py``.  The multicore payoff is measured
-  here: the largest configuration is swept across 1/2/4 cores and the
-  per-core curve must stay near-linear (see ``summary.core_sweep``).
-* **Wall-clock metrics** — elapsed host seconds, events/sec and
-  packets/sec of each world (under the ``fast`` key: the calendar-queue
-  engine with the vectorized cache and zero-copy packet path).  These
-  track the overhead of the reproduction itself and are excluded from
-  the trend gate.
+  configuration (``sim_elapsed_us``), the engine events fired per
+  delivered frame (``events_per_packet``: the simulator's own cost
+  proxy) and the event throughput *per simulated second*
+  (``events_per_sim_s``).  These are pure functions of the model and
+  are bit-stable across hosts; ``sim_elapsed_us`` and
+  ``events_per_packet`` are gated by ``check_bench_trend.py``.  The
+  multicore payoff is measured here: the largest configuration is
+  swept across 1/2/4 cores and the per-core curve must stay
+  near-linear (see ``summary.core_sweep``).
+* **Wall-clock metrics** — elapsed host seconds (``wall_s``),
+  events/sec and packets/sec of each world.  These track the overhead
+  of the reproduction itself and are excluded from the trend gate.
 
 The world's workload-visible observables (round-trip times, completion
 time, cache hits/misses, interrupt, frame and RSS steering counts) come
@@ -314,18 +315,18 @@ def run_config(cfg: dict) -> dict:
     return best
 
 
-def _entry(cfg: dict, fast: dict) -> dict:
+def _entry(cfg: dict, run: dict) -> dict:
     # the calendar queue must not accumulate dead events: every
     # tombstone created by a heap-resident cancel is popped by the
     # time the world drains (wheel-resident cancels are removed
     # outright and never become tombstones)
-    leftover = fast["queue"].get("tombstones", 0)
+    leftover = run["queue"].get("tombstones", 0)
     if leftover:
         raise RuntimeError(
             f"{leftover} tombstones left in the calendar queue"
         )
-    sim_s = fast["finish_ps"] / 1e12
-    eps = fast["events"] / sim_s
+    sim_s = run["finish_ps"] / 1e12
+    eps = run["events"] / sim_s
     return {
         "pairs": cfg["pairs"],
         "nodes": cfg["pairs"] * 2,
@@ -334,13 +335,21 @@ def _entry(cfg: dict, fast: dict) -> dict:
         "payload_bytes": cfg["size"],
         "cores": cfg["cores"],
         "rx_batch": cfg["batch"],
-        # -- deterministic model metrics (sim_elapsed_us is trend-gated)
-        "sim_elapsed_us": round(fast["finish_ps"] / 1e6, 3),
+        # -- deterministic model metrics (sim_elapsed_us and
+        # events_per_packet are trend-gated)
+        "sim_elapsed_us": round(run["finish_ps"] / 1e6, 3),
+        "events": run["events"],
+        "packets": run["packets"],
+        "events_per_packet": round(run["events"] / run["packets"], 3),
+        "cancelled": run["cancelled"],
+        "queue": run["queue"],
         "events_per_sim_s": round(eps, 1),
         "events_per_sim_s_per_core": round(eps / cfg["cores"], 1),
-        "overflow_spills": fast["queue"].get("overflow_spills", 0),
+        "overflow_spills": run["queue"].get("overflow_spills", 0),
         # -- wall-clock metrics (host-dependent, trend-exempt)
-        "fast": {k: v for k, v in fast.items() if k != "finish_ps"},
+        "wall_s": run["wall_s"],
+        "events_per_sec": run["events_per_sec"],
+        "packets_per_sec": run["packets_per_sec"],
     }
 
 
@@ -372,7 +381,7 @@ def _configs(quick: bool) -> list[dict]:
 
 def bench(quick: bool, cli_cfg: dict | None = None) -> dict:
     out: dict = {
-        "bench": "scale_substrate",
+        "bench": "scale",
         "quick": quick,
         "python": sys.version.split()[0],
         "configs": [],
@@ -395,7 +404,8 @@ def bench(quick: bool, cli_cfg: dict | None = None) -> dict:
               f"rounds={entry['rounds']} size={entry['payload_bytes']}B "
               f"cores={entry['cores']}  sim {entry['sim_elapsed_us']:.0f}us  "
               f"eps {entry['events_per_sim_s']:.2e}  "
-              f"wall {entry['fast']['wall_s']:.3f}s")
+              f"ev/pkt {entry['events_per_packet']:.1f}  "
+              f"wall {entry['wall_s']:.3f}s")
     out["summary"] = {}
     if sweep:
         base = sweep[0]

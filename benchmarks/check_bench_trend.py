@@ -16,7 +16,9 @@ metric that moved past the threshold in the bad direction:
 
 * **lower is better** — ``elapsed_us``, ``recovery_us``, ``latency_us``
   suffixes, ``virtual_ns``, ``simulated_cycles*``: simulated time/cost,
-  fully deterministic, a >N% rise is a real regression.
+  fully deterministic, a >N% rise is a real regression;
+  ``events_per_packet``: engine events fired per delivered frame, the
+  simulator's deterministic cost proxy.
 * **higher is better** — ``goodput_mbps``: simulated throughput;
   ``jain_index``: per-flow fairness on contended links;
   ``isolation_ratio``: tenant-contended vs solo victim goodput.
@@ -49,7 +51,8 @@ REPO_ROOT = os.path.dirname(_HERE)
 DEFAULT_THRESHOLD = 0.10  # fractional change that counts as a regression
 
 #: name-suffix → direction; first match wins ("lower" / "higher")
-LOWER_IS_BETTER = ("elapsed_us", "recovery_us", "latency_us", "virtual_ns")
+LOWER_IS_BETTER = ("elapsed_us", "recovery_us", "latency_us", "virtual_ns",
+                   "events_per_packet")
 LOWER_PREFIXES = ("simulated_cycles",)
 HIGHER_IS_BETTER = ("goodput_mbps", "jain_index", "isolation_ratio")
 #: wall-clock-dependent leaves: excluded unless explicitly requested

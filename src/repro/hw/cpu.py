@@ -6,8 +6,15 @@ holding the CPU and advancing virtual time with
 :meth:`Cpu.exec`.  The CPU is a priority lock: device interrupts
 (priority 0) get the processor ahead of kernel work (5) ahead of user
 code (10).  The holder is preempted only at *charge-quantum* boundaries
-(default 200 cycles = 5 µs), modelling interrupt delivery at instruction
+(200 cycles = 5 µs), modelling interrupt delivery at instruction
 granularity without per-instruction event overhead.
+
+A quantum boundary where nothing can happen costs no event either:
+while no queued waiter may take the CPU and no other event is pending,
+consecutive quanta are charged in one timeout that ends at the last
+boundary before the next pending event (``Engine._fold``).  Nothing
+runs between the folded boundaries, so nothing can observe the
+difference: every interrupt still gets the CPU at the same boundary.
 
 ``exec`` is a generator: call it as ``yield from cpu.exec(cycles)``
 from inside a simulation process.
@@ -15,7 +22,7 @@ from inside a simulation process.
 
 from __future__ import annotations
 
-from typing import Generator, Optional
+from typing import Generator
 
 from ..sim.engine import Engine, Event, Timeout
 from ..sim.queues import PriorityLock
@@ -44,29 +51,32 @@ class Cpu:
         self.contention_cycles = 0
 
     # -- core execution primitive -----------------------------------------
-    def exec(
-        self,
-        cycles: int,
-        prio: int = PRIO_USER,
-        quantum: Optional[int] = None,
-    ) -> Generator[Event, None, None]:
+    def exec(self, cycles: int,
+             prio: int = PRIO_USER) -> Generator[Event, None, None]:
         """Hold the CPU for ``cycles`` cycles at priority ``prio``.
 
         Execution is sliced into quanta; between quanta the CPU is
         yielded to any *more urgent* waiter (then re-acquired), so an
         interrupt arriving mid-computation is served within one quantum.
+        While no waiter is more urgent, consecutive quanta are charged
+        in one timeout up to the next pending event (see
+        :meth:`Engine._fold <repro.sim.engine.Engine._fold>`).  A free
+        CPU is taken without a yield when nothing else is due at this
+        tick.
         """
         cycles = int(cycles)
         if cycles < 0:
             raise ValueError(f"negative cycle charge: {cycles}")
         if cycles == 0:
             return
-        if quantum is None:
-            quantum = self.cal.exec_quantum_cycles
         engine = self.engine
         lock = self.lock
         waiters = lock._waiters
-        yield lock.acquire(prio)
+        quantum = self.cal.exec_quantum_cycles
+        if lock._locked or engine._due_now():
+            yield lock.acquire(prio)
+        else:
+            lock._locked = True  # free and nothing else due: take it here
         try:
             injector = self.contention
             if injector is not None:
@@ -77,25 +87,31 @@ class Cpu:
                     yield Timeout(engine, stolen * CYCLE_PS)
                     self.contention_cycles += stolen
             remaining = cycles
-            while remaining > 0:
-                slice_cycles = remaining if remaining < quantum else quantum
+            while True:
+                if remaining <= quantum:
+                    slice_cycles = remaining
+                elif waiters and waiters[0][0] < prio:
+                    slice_cycles = quantum
+                else:
+                    slice_cycles = engine._fold(remaining, quantum)
                 start = engine._now
                 yield Timeout(engine, slice_cycles * CYCLE_PS)
                 self.busy_ticks += engine._now - start
                 self.cycles_charged += slice_cycles
                 remaining -= slice_cycles
-                if remaining > 0 and waiters and waiters[0][0] < prio:
+                if remaining <= 0:
+                    break
+                if waiters and waiters[0][0] < prio:
                     lock.release()
                     yield lock.acquire(prio)
         finally:
             lock.release()
 
     # -- convenience wrappers -------------------------------------------------
-    def exec_us(
-        self, usec: float, prio: int = PRIO_USER, quantum: Optional[int] = None
-    ) -> Generator[Event, None, None]:
+    def exec_us(self, usec: float,
+                prio: int = PRIO_USER) -> Generator[Event, None, None]:
         """Hold the CPU for a duration expressed in microseconds."""
-        yield from self.exec(self.cal.us_to_cycles(usec), prio, quantum)
+        yield from self.exec(self.cal.us_to_cycles(usec), prio)
 
     @property
     def busy_us(self) -> float:

@@ -32,10 +32,6 @@ if TYPE_CHECKING:  # pragma: no cover
 
 __all__ = ["Process", "ProcessState"]
 
-#: granularity at which gated user computation checks its schedule
-_COMPUTE_CHUNK_CYCLES = 200
-
-
 class ProcessState(enum.Enum):
     READY = "ready"
     BLOCKED = "blocked"
@@ -89,39 +85,46 @@ class Process:
     def compute(self, cycles: int) -> Generator[Event, Any, None]:
         """Burn user-mode cycles; only advances while scheduled.
 
-        A chunk never exceeds one charge quantum, so the common case of
-        ``cpu.exec`` (acquire, one quantum timeout, release — no
-        mid-slice preemption check) is unrolled here rather than paying
-        a fresh ``exec`` generator and a deeper ``yield from`` chain per
-        chunk.  The yielded events match ``exec``'s with one difference:
-        the unrolled loop never calls ``cpu.contention.steal()``, so a
-        :class:`~repro.sim.faults.CpuContention` injector stretches
-        kernel and interrupt-context work but never user compute.  The
-        golden digests pin that behaviour.
+        Unlike ``cpu.exec``, which keeps the CPU until a more urgent
+        waiter appears, this loop hands the CPU to any waiter at every
+        quantum boundary and waits on its gate again, so a descheduled
+        process stops within one quantum.  Two shortcuts cut its events
+        and keep their order exact:
+
+        * an open gate and a free CPU are taken in place, without a
+          yield, when nothing else is due at this tick (the same tie
+          test as the engine's elided same-tick hop);
+        * while the gate is open and nobody waits for the CPU,
+          consecutive quanta are charged in one timeout up to the next
+          pending event (``Engine._fold``).
+
+        The loop never calls ``cpu.contention.steal()`` (``exec``
+        does), so a :class:`~repro.sim.faults.CpuContention` injector
+        stretches kernel and interrupt-context work but never user
+        compute.  The golden digests pin that behaviour.
         """
         cpu = self.cpu
-        remaining = int(cycles)
-        if _COMPUTE_CHUNK_CYCLES > cpu.cal.exec_quantum_cycles:
-            # oversized chunks need exec's intra-slice preemption logic
-            while remaining > 0:
-                yield self.gate.wait()
-                chunk = min(remaining, _COMPUTE_CHUNK_CYCLES)
-                start = self.engine.now
-                yield from cpu.exec(chunk, prio=PRIO_USER)
-                self.user_ticks += self.engine.now - start
-                remaining -= chunk
-            return
         engine = self.engine
         lock = cpu.lock
-        gate_wait = self.gate.wait
+        waiters = lock._waiters
+        gate = self.gate
+        due_now = engine._due_now
+        quantum = cpu.cal.exec_quantum_cycles
+        remaining = int(cycles)
         while remaining > 0:
-            yield gate_wait()
-            chunk = (
-                remaining if remaining < _COMPUTE_CHUNK_CYCLES
-                else _COMPUTE_CHUNK_CYCLES
-            )
+            if not gate._open or due_now():
+                yield gate.wait()
             ustart = engine._now
-            yield lock.acquire(PRIO_USER)
+            if lock._locked or due_now():
+                yield lock.acquire(PRIO_USER)
+            else:
+                lock._locked = True
+            if remaining <= quantum:
+                chunk = remaining
+            elif waiters or not gate._open:
+                chunk = quantum
+            else:
+                chunk = engine._fold(remaining, quantum)
             start = engine._now
             try:
                 yield Timeout(engine, chunk * CYCLE_PS)

@@ -31,6 +31,7 @@ from typing import Any, Callable, Generator, Iterable, Optional
 
 from ..errors import SimError
 from .queues import CalendarQueue
+from .units import CYCLE_PS
 
 __all__ = [
     "Engine",
@@ -360,6 +361,11 @@ class Engine:
         # yield the same object instead of allocating one.
         self._done = Event(self, "done")
         self._done._state = Event._TRIGGERED
+        # run-to-next-event CPU charging (see _fold): whether the
+        # process being stepped is the last thing its pop runs, and the
+        # horizon of the current run
+        self._fold_ok = False
+        self._until: Optional[int] = None
 
     # -- clock ---------------------------------------------------------
     @property
@@ -420,6 +426,63 @@ class Engine:
     def _crashed(self, proc: SimProcess, exc: BaseException) -> None:
         self._crashes.append((proc, exc))
 
+    def _due_now(self) -> bool:
+        """True when another entry is pending at the current tick.
+
+        This is the tie test behind every elided same-tick hop: a
+        process whose wait is already satisfied (open gate, free lock)
+        may continue in place only when nothing else is due now.
+        Nothing beyond the due heap can tie (every wheel and overflow
+        entry sits at or past ``_dlim > now``); when that heap is empty,
+        ``peek_at`` runs anyway for its eager bucket advance."""
+        due = self._queue._due
+        if due:
+            return due[0][0] == self._now
+        self._queue.peek_at()
+        return False
+
+    def _fold(self, remaining: int, quantum: int) -> int:
+        """How many cycles of a CPU charge to cover in one timeout: at
+        least one ``quantum``, then every further whole quantum, and
+        the tail, of the ``remaining`` cycles (more than one quantum)
+        that ends strictly before the next pending entry and this run's
+        ``until``.
+
+        Charging quantum by quantum, a process that holds the CPU pops
+        one timeout per quantum boundary.  While no other entry is due
+        before a boundary, that pop resumes only this process, which
+        re-checks its gate and lock (nobody else ran, so nothing
+        changed) and schedules the next quantum: order-identical to one
+        timeout covering every such boundary.  A boundary at the tick
+        of a pending entry is excluded, as that entry was scheduled
+        earlier and pops first; one at or past ``until`` is excluded so
+        that a run never returns with a folded charge in flight.  The
+        caller guarantees no waiter could take the CPU at a boundary.
+
+        That holds only when nothing runs after the process yields in
+        this pop: code run later could schedule entries ahead of the
+        fold's end.  The dispatch loop sets ``_fold_ok`` for exactly
+        those pops (a hop entry, a spawn resume, or a fired timeout
+        with a single callback); in any other pop this returns one
+        quantum.
+        """
+        if not self._fold_ok:
+            return quantum
+        queue = self._queue
+        due = queue._due
+        limit = due[0][0] if due else queue.peek_at()
+        until = self._until
+        if until is not None and (limit is None or until < limit):
+            limit = until
+        if limit is None:
+            return remaining
+        # cycles that end strictly before limit
+        room = (limit - 1 - self._now) // CYCLE_PS
+        if remaining <= room:
+            return remaining
+        n = room // quantum
+        return quantum * n if n > 1 else quantum
+
     # -- run loop --------------------------------------------------------
     def run(self, until: Optional[int] = None, raise_crashes: bool = True) -> None:
         """Run until the event queue drains or the clock reaches ``until``.
@@ -433,7 +496,10 @@ class Engine:
         one of those two shapes falls through to a plain ``fn(*args)``
         call, so ordering and side effects are identical to popping
         each entry and calling it, with far fewer interpreter
-        operations per event.
+        operations per event.  A pop that resumes one process and runs
+        nothing after it (a hop entry, a spawn resume, a fired timeout
+        with one callback) lets that process fold its CPU charge
+        (:meth:`_fold`).
 
         If any process died with an unhandled exception the first such
         exception is re-raised at the end of the run (pass
@@ -443,6 +509,7 @@ class Engine:
         pop_due = queue.pop_due
         push = queue.push
         peek_at = queue.peek_at
+        self._until = until
         proc_on_event = SimProcess._on_event
         proc_resume = SimProcess._resume
         send_step = self._send_step
@@ -490,6 +557,9 @@ class Engine:
                                 # them — anything they schedule at this
                                 # tick still lands after all of them, just
                                 # as it would behind the hop entries.
+                                # A lone callback is the last thing this
+                                # pop runs, so its process may fold.
+                                solo = len(cbs) == 1
                                 for cb in cbs:
                                     # keep the ledger comparable with the
                                     # hop path: each callback counts as one
@@ -502,7 +572,7 @@ class Engine:
                                         proc = cb.__self__
                                         if proc._state == 0:
                                             proc._waiting_on = None
-                                            send_step(proc, fn._value)
+                                            send_step(proc, fn._value, solo)
                                     else:
                                         cb(fn)
                             else:
@@ -521,11 +591,11 @@ class Engine:
                             if ev._exc is not None:
                                 fn(ev)  # failure path: take the generic route
                             else:
-                                send_step(proc, ev._value)
+                                send_step(proc, ev._value, True)
                     elif func is proc_resume:
                         proc = fn.__self__
                         if proc._state == 0:
-                            send_step(proc, entry[3][0])
+                            send_step(proc, entry[3][0], True)
                     else:
                         fn(*entry[3])
         finally:
@@ -536,7 +606,8 @@ class Engine:
             _proc, exc = self._crashes[0]
             raise exc
 
-    def _send_step(self, proc: "SimProcess", value: Any) -> None:
+    def _send_step(self, proc: "SimProcess", value: Any,
+                   foldable: bool) -> None:
         """Advance a process generator with ``value`` (the dispatch loop's
         inlined ``SimProcess._step`` + ``add_callback``).
 
@@ -547,11 +618,16 @@ class Engine:
         entry and pops next with nothing in between, so resuming inline
         is order-identical — the loop below does exactly that, paying
         one queue round-trip less per pass-through wait.
+
+        ``foldable`` says nothing runs after this step in the current
+        pop, so a CPU charge may fold quanta (see :meth:`_fold`).
         """
         gen_send = proc.gen.send
         queue = self._queue
         peek_at = queue.peek_at
+        due_now = self._due_now
         done = self._done
+        self._fold_ok = foldable
         on_event_cb = proc._on_event_cb
         now = self._now  # constant for the whole call: no time passes here
         elided = 0
@@ -573,17 +649,10 @@ class Engine:
                     # pass-through wait (open gate, uncontended lock):
                     # the shared pre-triggered event carries no value
                     # and no failure, so only the tie test remains
-                    due = queue._due  # re-read: _advance rebinds it
-                    if due:
-                        if due[0][0] == now:
-                            proc._waiting_on = target
-                            self._schedule(now, on_event_cb, target)
-                            return
-                    else:
-                        # nothing beyond _due can tie at `now` (all
-                        # wheel/overflow entries sit at >= _dlim > now);
-                        # peek anyway for its eager bucket advance
-                        peek_at()
+                    if due_now():
+                        proc._waiting_on = target
+                        self._schedule(now, on_event_cb, target)
+                        return
                     elided += 1
                     value = None
                     continue
@@ -610,6 +679,7 @@ class Engine:
                 proc._waiting_on = None
                 value = target._value
         finally:
+            self._fold_ok = False
             if elided:
                 # keep the scheduled/fired ledger comparable: each
                 # elided hop counts as one scheduled-and-fired dispatch

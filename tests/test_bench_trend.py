@@ -29,6 +29,7 @@ def test_classification_directions():
     assert trend.classify("curves.recovery_us") == "lower"
     assert trend.classify("ash_abort.virtual_ns") == "lower"
     assert trend.classify("w.simulated_cycles_jit") == "lower"
+    assert trend.classify("configs[0].events_per_packet") == "lower"
     assert trend.classify("baseline.goodput_mbps") == "higher"
     # host-clock noise is skipped unless explicitly included
     assert trend.classify("w.interp_per_sec") == "wallclock"

@@ -76,7 +76,7 @@ def test_fault_smoke():
     assert a == b, "same seed must reproduce the same run exactly"
 
 
-def test_combined_impairments_bit_identical_across_substrates():
+def test_combined_impairments_match_golden():
     """The acceptance bar: under a seeded fault schedule the delivered
     bytes, retransmit counts, fault ledger and virtual time match the
     golden."""
@@ -274,7 +274,7 @@ class TestAshAbort:
         assert ep.upcall.invocations == injector.fired
         assert tb.server_kernel.ash_abort_fallbacks == injector.fired
 
-    def test_abort_schedule_identical_across_substrates(self):
+    def test_abort_schedule_matches_golden(self):
         """Forced aborts burn cycles; the cycle accounting (and thus
         virtual time) stays on the golden."""
         rec = abort_schedule_run()
@@ -378,7 +378,7 @@ class TestCrashRecovery:
         assert crashed["time_ps"] > clean["time_ps"]
         assert crashed["order_violations"] == (0, 0)
 
-    def test_crash_recovery_bit_identical_across_substrates(self):
+    def test_crash_recovery_matches_golden(self):
         """The crashed run matches its golden."""
         out = crash_world("crash_seed37")
         assert out["recoveries"] == 1

@@ -128,7 +128,7 @@ class TestCanaryVerdicts:
         assert ident["state"] == "promoted"
         assert ident["lost_messages"] == 0
 
-    def test_crash_outcome_bit_identical_across_substrates(self):
+    def test_crash_outcome_matches_golden(self):
         """The mid-canary crash outcome matches its golden."""
         golden.check("canary", "divergent_crash", canary_crash_record())
 
