@@ -38,12 +38,9 @@ sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)),
                                 os.pardir, "src"))
 
 from repro.bench.testbed import make_an2_pair                    # noqa: E402
-from repro.net.stack import NetStack                             # noqa: E402
-from repro.net.tcp import TcpConnection                          # noqa: E402
+from repro.net.socket_api import make_stacks, tcp_pair           # noqa: E402
 
 SEED = 42
-CLIENT_IP = "10.0.0.1"
-SERVER_IP = "10.0.0.2"
 #: connect-time stagger between consecutive flows, picoseconds (25 us)
 STAGGER_PS = 25_000_000
 PS_PER_US = 1_000_000
@@ -64,17 +61,10 @@ def run_fairness(nflows: int, nbytes: int, sack: bool = True) -> dict:
     flows: list[dict] = []
 
     for j in range(nflows):
-        c2s, s2c = 2 * j + 1, 2 * j + 2
-        cstack = NetStack(tb.client_kernel, tb.client_nic, CLIENT_IP,
-                          an2_peers={SERVER_IP: (c2s, s2c)})
-        sstack = NetStack(tb.server_kernel, tb.server_nic, SERVER_IP,
-                          an2_peers={CLIENT_IP: (s2c, c2s)})
-        client = TcpConnection(cstack, 5000 + j, sstack.ip, 80 + j,
-                               rx_vci=s2c, iss=1000, name=f"f{j}c",
-                               rto_us=20_000.0, sack=sack)
-        server = TcpConnection(sstack, 80 + j, cstack.ip, 5000 + j,
-                               rx_vci=c2s, iss=7000, name=f"f{j}s",
-                               rto_us=20_000.0, sack=sack)
+        cstack, sstack = make_stacks(tb, flow=j)
+        client, server = tcp_pair(cstack, sstack, server_port=80 + j,
+                                  client_port=5000 + j,
+                                  rto_us=20_000.0, sack=sack)
         data = bytes(random.Random(SEED + j).randrange(256)
                      for _ in range(nbytes))
         rec = {"j": j, "data": data, "got": None,

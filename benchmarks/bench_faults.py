@@ -31,10 +31,8 @@ sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)),
                                 os.pardir, "src"))
 
 from repro.ash.examples import (                                 # noqa: E402
-    PARAM_COUNTER,
-    PARAM_REPLY_VCI,
-    PARAM_SCRATCH,
     build_remote_increment,
+    increment_state,
 )
 from repro.bench.testbed import (                                # noqa: E402
     CLIENT_TO_SERVER_VCI,
@@ -127,19 +125,15 @@ def ash_abort_demo(messages: int) -> dict:
     sk, ck = tb.server_kernel, tb.client_kernel
     srv_ep = sk.create_endpoint_an2(tb.server_nic, CLIENT_TO_SERVER_VCI)
     cli_ep = ck.create_endpoint_an2(tb.client_nic, SERVER_TO_CLIENT_VCI)
-    mem = tb.server.memory
-    state = mem.alloc("incr_state", 64)
-    mem.store_u32(state.base + 32 + PARAM_COUNTER, state.base)
-    mem.store_u32(state.base + 32 + PARAM_REPLY_VCI, SERVER_TO_CLIENT_VCI)
-    mem.store_u32(state.base + 32 + PARAM_SCRATCH, state.base + 16)
+    state, params = increment_state(tb.server.memory, "incr_state",
+                                    SERVER_TO_CLIENT_VCI)
     program = build_remote_increment()
     ash_id = sk.ash_system.download(
-        program, allowed_regions=[(state.base, 64)],
-        user_word=state.base + 32,
+        program, allowed_regions=[(state.base, state.size)],
+        user_word=params,
     )
     sk.ash_system.bind(srv_ep, ash_id)
-    srv_ep.upcall = UpcallHandler(program=program,
-                                  user_word=state.base + 32)
+    srv_ep.upcall = UpcallHandler(program=program, user_word=params)
     plane = tb.attach_fault_plane(seed=SEED)
     injector = plane.abort_ash(sk, every=2)
     values = list(range(1, messages + 1))

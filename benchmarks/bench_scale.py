@@ -49,21 +49,16 @@ sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)),
                                 os.pardir, "src"))
 
 from repro.ash.examples import (                                 # noqa: E402
-    PARAM_COUNTER,
-    PARAM_REPLY_VCI,
-    PARAM_SCRATCH,
     build_remote_increment,
+    increment_state,
 )
 from repro.bench.testbed import make_an2_pair                    # noqa: E402
 from repro.hw.link import Frame                                  # noqa: E402
-from repro.net.stack import NetStack                             # noqa: E402
-from repro.net.tcp import TcpConnection                          # noqa: E402
+from repro.net.socket_api import flow_vcis, make_stacks, tcp_pair  # noqa: E402
 from repro.net.udp import UdpSocket                              # noqa: E402
 from repro.sim.engine import Engine                              # noqa: E402
 from repro.sim.units import CYCLE_PS                             # noqa: E402
 
-CLIENT_IP = "10.0.0.1"
-SERVER_IP = "10.0.0.2"
 FLOW_KINDS = ("udp", "tcp", "ash")
 
 #: per-flow start offset step in cycles.  173 is coprime to the
@@ -125,18 +120,6 @@ class ScaleWorld:
     def _stagger_ps(self, i: int, j: int) -> int:
         return (j + 1 + i % 7) * STAGGER_CYCLES * CYCLE_PS
 
-    def _vcis(self, j: int) -> tuple[int, int]:
-        """(client->server, server->client) circuit pair for flow j."""
-        return 2 * j + 1, 2 * j + 2
-
-    def _stacks(self, tb, j: int) -> tuple[NetStack, NetStack]:
-        c2s, s2c = self._vcis(j)
-        cstack = NetStack(tb.client_kernel, tb.client_nic, CLIENT_IP,
-                          an2_peers={SERVER_IP: (c2s, s2c)})
-        sstack = NetStack(tb.server_kernel, tb.server_nic, SERVER_IP,
-                          an2_peers={CLIENT_IP: (s2c, c2s)})
-        return cstack, sstack
-
     def _add_flow(self, tb, i: int, j: int, kind: str) -> None:
         if kind == "udp":
             self._add_udp(tb, i, j)
@@ -147,8 +130,8 @@ class ScaleWorld:
 
     def _add_udp(self, tb, i: int, j: int) -> None:
         idx, rts = self._track()
-        cstack, sstack = self._stacks(tb, j)
-        c2s, s2c = self._vcis(j)
+        cstack, sstack = make_stacks(tb, flow=j)
+        c2s, s2c = flow_vcis(j)
         csock = UdpSocket(cstack, 7001 + j, rx_vci=s2c, name=f"f{j}udpc")
         ssock = UdpSocket(sstack, 7001 + j, rx_vci=c2s, name=f"f{j}udps")
         rounds, size = self.rounds, self.size
@@ -176,12 +159,8 @@ class ScaleWorld:
 
     def _add_tcp(self, tb, i: int, j: int) -> None:
         idx, rts = self._track()
-        cstack, sstack = self._stacks(tb, j)
-        c2s, s2c = self._vcis(j)
-        conn_c = TcpConnection(cstack, 5000 + j, sstack.ip, 80 + j,
-                               rx_vci=s2c, iss=1000, name=f"f{j}tcpc")
-        conn_s = TcpConnection(sstack, 80 + j, cstack.ip, 5000 + j,
-                               rx_vci=c2s, iss=7000, name=f"f{j}tcps")
+        conn_c, conn_s = tcp_pair(*make_stacks(tb, flow=j),
+                                  server_port=80 + j, client_port=5000 + j)
         rounds, size = self.rounds, self.size
         stagger = self._stagger_ps(i, j)
 
@@ -207,18 +186,15 @@ class ScaleWorld:
     def _add_ash(self, tb, i: int, j: int) -> None:
         idx, rts = self._track()
         sk, ck = tb.server_kernel, tb.client_kernel
-        c2s, s2c = self._vcis(j)
+        c2s, s2c = flow_vcis(j)
         srv_ep = sk.create_endpoint_an2(tb.server_nic, c2s, name=f"f{j}ash-s")
         cli_ep = ck.create_endpoint_an2(tb.client_nic, s2c, name=f"f{j}ash-c")
-        mem = tb.server.memory
-        state = mem.alloc(f"f{j}.incr_state", 64)
-        mem.store_u32(state.base + 32 + PARAM_COUNTER, state.base)
-        mem.store_u32(state.base + 32 + PARAM_REPLY_VCI, s2c)
-        mem.store_u32(state.base + 32 + PARAM_SCRATCH, state.base + 16)
+        state, params = increment_state(tb.server.memory,
+                                        f"f{j}.incr_state", s2c)
         ash_id = sk.ash_system.download(
             build_remote_increment(),
-            allowed_regions=[(state.base, 64)],
-            user_word=state.base + 32,
+            allowed_regions=[(state.base, state.size)],
+            user_word=params,
         )
         sk.ash_system.bind(srv_ep, ash_id)
         rounds = self.rounds

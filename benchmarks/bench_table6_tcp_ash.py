@@ -20,6 +20,8 @@ polling user-level; our rewriter inserts ~3-cycle checks, so the
 sandboxed ASH wins latency outright here.
 """
 
+import dataclasses
+
 from repro.bench.harness import reproduce
 from repro.bench.results import BenchTable
 from repro.bench.workloads import TcpConfig, tcp_pingpong, tcp_stream_throughput
@@ -44,11 +46,7 @@ SMALL_BULK = 1 * 1024 * 1024
 
 def small_cfg(cfg: TcpConfig) -> TcpConfig:
     """The small-MSS variant: MSS 536, 4096-byte application writes."""
-    return TcpConfig(
-        checksum=cfg.checksum, in_place=cfg.in_place, mss=536,
-        handler=cfg.handler, interrupt_driven=cfg.interrupt_driven,
-        window=cfg.window,
-    )
+    return dataclasses.replace(cfg, mss=536)
 
 
 def run_table6() -> BenchTable:

@@ -24,12 +24,11 @@ protocol is one downloaded ASH with a jump table.
 
 from __future__ import annotations
 
-from typing import Generator, Optional, TYPE_CHECKING
+from typing import Generator, TYPE_CHECKING
 
 from ..ash.active import AM_HEADER, ActiveMessageLayer, am_message
 from ..errors import ProtocolError
 from ..hw.link import Frame
-from ..sim.units import us
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..kernel.kernel import Endpoint, Kernel
@@ -249,13 +248,15 @@ class DsmNode:
 class DsmClient:
     """Peer-side API: one outstanding operation at a time."""
 
+    #: wait before retrying a lock the server refused
+    backoff_us = 50.0
+
     def __init__(self, kernel: "Kernel", nic, tx_vci: int,
-                 reply_ep: "Endpoint", backoff_us: float = 50.0):
+                 reply_ep: "Endpoint"):
         self.kernel = kernel
         self.nic = nic
         self.tx_vci = tx_vci
         self.reply_ep = reply_ep
-        self.backoff_us = backoff_us
         self.lock_retries = 0
 
     def _rpc(self, proc: "Process", index: int, arg0: int, arg1: int,

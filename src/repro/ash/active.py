@@ -69,15 +69,17 @@ class _Fragment:
 class ActiveMessageLayer:
     """A handler table compiled into one dispatcher ASH."""
 
+    #: handler table capacity
+    max_handlers = 16
+
     def __init__(self, kernel: "Kernel", ep: "Endpoint",
-                 context_word: int = 0, max_handlers: int = 16):
+                 context_word: int = 0):
         self.kernel = kernel
         self.ep = ep
         self.context_word = context_word
-        self.max_handlers = max_handlers
         self._fragments: list[_Fragment] = []
         self._table_region = kernel.node.memory.alloc(
-            f"{ep.name}.amtable", 4 * max_handlers
+            f"{ep.name}.amtable", 4 * self.max_handlers
         )
         self.ash_id: Optional[int] = None
 

@@ -21,14 +21,20 @@ each builder documents.
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 from ..vcode.isa import Program
 from .handler import AshBuilder
+
+if TYPE_CHECKING:  # pragma: no cover
+    from ..hw.memory import PhysicalMemory, Region
 
 __all__ = [
     "build_echo",
     "build_remote_increment",
     "build_remote_write_generic",
     "build_remote_write_specific",
+    "increment_state",
     "PARAM_COUNTER",
     "PARAM_REPLY_VCI",
     "PARAM_SCRATCH",
@@ -91,6 +97,24 @@ def build_remote_increment() -> Program:
     b.mark(bad)                       # abort part
     b.v_pass()
     return b.finish()
+
+
+def increment_state(mem: "PhysicalMemory", name: str,
+                    reply_vci: int) -> tuple["Region", int]:
+    """Allocate a remote-increment handler's 64-byte state region: the
+    u32 counter at +0, the reply scratch buffer at +16 and the parameter
+    block at +32, filled in to reply on ``reply_vci``.
+
+    Returns ``(region, params)``: the counter lives at ``region.base``,
+    the region is the handler's allowed region and ``params`` its user
+    word.
+    """
+    state = mem.alloc(name, 64)
+    params = state.base + 32
+    mem.store_u32(params + PARAM_COUNTER, state.base)
+    mem.store_u32(params + PARAM_REPLY_VCI, reply_vci)
+    mem.store_u32(params + PARAM_SCRATCH, state.base + 16)
+    return state, params
 
 
 # message layout for the generic remote write

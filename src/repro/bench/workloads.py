@@ -23,6 +23,7 @@ from ..ash.examples import (
     PARAM_REPLY_VCI,
     PARAM_SCRATCH,
     build_remote_increment,
+    increment_state,
 )
 from ..hw.calibration import Calibration, DEFAULT
 from ..hw.link import Frame
@@ -204,22 +205,13 @@ def raw_stream_throughput(
 # UDP (Table II)
 # ---------------------------------------------------------------------------
 
-def _udp_pair(tb: Testbed, checksum: bool, in_place: bool, eth: bool):
-    from ..net.stack import NetStack
-
-    if eth:
-        cstack = NetStack(tb.client_kernel, tb.client_nic, CLIENT_IP,
-                          mac=b"\x02\x00\x00\x00\x00\x01")
-        sstack = NetStack(tb.server_kernel, tb.server_nic, SERVER_IP,
-                          mac=b"\x02\x00\x00\x00\x00\x02")
-        csock = UdpSocket(cstack, 7001, checksum=checksum, in_place=in_place)
-        ssock = UdpSocket(sstack, 7000, checksum=checksum, in_place=in_place)
-    else:
-        cstack, sstack = make_stacks(tb, CLIENT_IP, SERVER_IP)
-        csock = UdpSocket(cstack, 7001, rx_vci=2, checksum=checksum,
-                          in_place=in_place)
-        ssock = UdpSocket(sstack, 7000, rx_vci=1, checksum=checksum,
-                          in_place=in_place)
+def _udp_pair(tb: Testbed, checksum: bool, in_place: bool):
+    """A UDP socket pair; the circuits are unused on the Ethernet."""
+    cstack, sstack = make_stacks(tb, CLIENT_IP, SERVER_IP)
+    csock = UdpSocket(cstack, 7001, rx_vci=SERVER_TO_CLIENT_VCI,
+                      checksum=checksum, in_place=in_place)
+    ssock = UdpSocket(sstack, 7000, rx_vci=CLIENT_TO_SERVER_VCI,
+                      checksum=checksum, in_place=in_place)
     return csock, ssock
 
 
@@ -234,7 +226,7 @@ def udp_pingpong(
 ) -> float:
     """Table II UDP latency: 4-byte ping-pong; returns µs/RT."""
     tb = make_eth_pair(cal) if eth else make_an2_pair(cal)
-    csock, ssock = _udp_pair(tb, checksum, in_place, eth)
+    csock, ssock = _udp_pair(tb, checksum, in_place)
     rts: list[float] = []
     total = iters + warmup
     server_ip = ip_aton(SERVER_IP)
@@ -267,7 +259,7 @@ def udp_train_throughput(
 ) -> float:
     """Table II UDP throughput: 6-MSS trains, small ack back; MB/s."""
     tb = make_eth_pair(cal) if eth else make_an2_pair(cal)
-    csock, ssock = _udp_pair(tb, checksum, in_place, eth)
+    csock, ssock = _udp_pair(tb, checksum, in_place)
     mss = 1500 - 28 if eth else 3072
     server_ip = ip_aton(SERVER_IP)
     client_ip = ip_aton(CLIENT_IP)
@@ -298,77 +290,50 @@ def udp_train_throughput(
 # TCP (Tables II and VI)
 # ---------------------------------------------------------------------------
 
+#: the TCP fast-path modes (the Table VI columns) as ``install_fastpath``
+#: (kind, sandbox) arguments; mode None keeps the library receive path
+FASTPATH_MODES = {"ash": ("ash", True), "ash-unsafe": ("ash", False),
+                  "upcall": ("upcall", True)}
+
+
+def _fastpath(mode: Optional[str]) -> Callable:
+    """The installer for fast-path ``mode``: call it on an established
+    connection."""
+    if mode is None:
+        return lambda conn: None
+    if mode not in FASTPATH_MODES:
+        raise ValueError(f"unknown fast-path mode {mode!r}")
+    return lambda conn: conn.install_fastpath(*FASTPATH_MODES[mode])
+
+
 @dataclass
 class TcpConfig:
     checksum: bool = True
     in_place: bool = False
     mss: Optional[int] = None
-    handler: Optional[str] = None     #: None | "ash" | "ash-unsafe" | "upcall"
+    handler: Optional[str] = None     #: a FASTPATH_MODES key or None
     interrupt_driven: bool = False
     window: int = 8192
     eth: bool = False                 #: run over the Ethernet (library path)
     cwnd_init: Optional[int] = None   #: initial congestion window, bytes
     ssthresh_init: Optional[int] = None
-    sack: bool = True                 #: negotiate SACK (off = go-back-N)
-
-    def apply_handler(self, conn) -> None:
-        if self.handler is None:
-            return
-        if self.handler == "ash":
-            conn.install_fastpath(kind="ash", sandbox=True)
-        elif self.handler == "ash-unsafe":
-            conn.install_fastpath(kind="ash", sandbox=False)
-        elif self.handler == "upcall":
-            conn.install_fastpath(kind="upcall")
-        else:
-            raise ValueError(f"unknown handler mode {self.handler!r}")
 
 
-def _tcp_session(cal, config: TcpConfig, client_body, server_body,
-                 boost: bool = False):
-    opts = {"boost_on_packet": True} if boost or config.interrupt_driven else {}
-    kwargs = dict(
-        checksum=config.checksum,
-        in_place=config.in_place,
-        window=config.window,
-        interrupt_driven=config.interrupt_driven,
-        sack=config.sack,
-    )
-    if config.mss is not None:
-        kwargs["mss"] = config.mss
-    if config.cwnd_init is not None:
-        kwargs["cwnd_init"] = config.cwnd_init
-    if config.ssthresh_init is not None:
-        kwargs["ssthresh_init"] = config.ssthresh_init
-    if config.eth:
-        if config.handler is not None:
-            raise ValueError("the TCP fast path targets the AN2 framing")
-        from ..net.stack import NetStack
-        from ..net.tcp import TcpConnection
-
-        tb = make_eth_pair(cal, client_kernel_opts=opts,
-                           server_kernel_opts=opts)
-        cstack = NetStack(tb.client_kernel, tb.client_nic, CLIENT_IP,
-                          mac=b"\x02\x00\x00\x00\x00\x01")
-        sstack = NetStack(tb.server_kernel, tb.server_nic, SERVER_IP,
-                          mac=b"\x02\x00\x00\x00\x00\x02")
-        client = TcpConnection(cstack, 5000, sstack.ip, 80, iss=1000,
-                               name="ceth", **kwargs)
-        server = TcpConnection(sstack, 80, cstack.ip, 5000, iss=7000,
-                               name="seth", **kwargs)
-        tb.server_kernel.spawn_process(
-            "server", lambda p: server_body(p, server))
-        tb.client_kernel.spawn_process(
-            "client", lambda p: client_body(p, client))
-        tb.run()
-        return tb, client, server
-    tb = make_an2_pair(cal, client_kernel_opts=opts, server_kernel_opts=opts)
+def _tcp_session(cal, config: TcpConfig, client_body, server_body) -> None:
+    if config.eth and config.handler is not None:
+        raise ValueError("the TCP fast path targets the AN2 framing")
+    opts = {"boost_on_packet": True} if config.interrupt_driven else {}
+    make_pair = make_eth_pair if config.eth else make_an2_pair
+    tb = make_pair(cal, client_kernel_opts=opts, server_kernel_opts=opts)
     cstack, sstack = make_stacks(tb, CLIENT_IP, SERVER_IP)
-    client, server = tcp_pair(cstack, sstack, **kwargs)
+    client, server = tcp_pair(
+        cstack, sstack, checksum=config.checksum, in_place=config.in_place,
+        mss=config.mss, window=config.window,
+        interrupt_driven=config.interrupt_driven,
+        cwnd_init=config.cwnd_init, ssthresh_init=config.ssthresh_init)
     tb.server_kernel.spawn_process("server", lambda p: server_body(p, server))
     tb.client_kernel.spawn_process("client", lambda p: client_body(p, client))
     tb.run()
-    return tb, client, server
 
 
 def tcp_pingpong(
@@ -380,19 +345,20 @@ def tcp_pingpong(
 ) -> float:
     """TCP latency: ping-pong ``size`` bytes; returns µs/RT."""
     config = config or TcpConfig()
+    install = _fastpath(config.handler)
     rts: list[float] = []
     total = iters + warmup
 
     def server_body(proc, conn):
         yield from conn.accept(proc)
-        config.apply_handler(conn)
+        install(conn)
         for _ in range(total):
             data = yield from conn.read(proc, size)
             yield from conn.write(proc, data)
 
     def client_body(proc, conn):
         yield from conn.connect(proc)
-        config.apply_handler(conn)
+        install(conn)
         for _ in range(total):
             t0 = proc.engine.now
             yield from conn.write(proc, bytes(size))
@@ -410,13 +376,21 @@ def tcp_stream_throughput(
     chunk: int = 8192,
 ) -> float:
     """TCP throughput: write ``total_bytes`` in ``chunk``-byte writes
-    over the connection (Table II: 10 MB in 8 KB chunks); MB/s."""
+    over the connection (Table II: 10 MB in 8 KB chunks); MB/s.
+
+    Not :func:`tcp_bulk_transfer`, which writes one seeded buffer,
+    reads it in one call, uses a 20 ms RTO and lets the client linger:
+    the committed Tables II/VI are measured on this world's
+    zero-filled ``chunk``-byte writes, 32 KB reads, default RTO and
+    exiting client.
+    """
     config = config or TcpConfig()
+    install = _fastpath(config.handler)
     span = {}
 
     def server_body(proc, conn):
         yield from conn.accept(proc)
-        config.apply_handler(conn)
+        install(conn)
         remaining = total_bytes
         while remaining:
             take = min(remaining, 65536 // 2)
@@ -428,7 +402,7 @@ def tcp_stream_throughput(
 
     def client_body(proc, conn):
         yield from conn.connect(proc)
-        config.apply_handler(conn)
+        install(conn)
         payload = bytes(chunk)
         span["start"] = proc.engine.now
         sent = 0
@@ -490,21 +464,16 @@ def remote_increment(
     rts: list[float] = []
     result = RemoteIncrementResult(rt_us=0.0, mode=mode, nprocs=nprocs)
 
-    # shared state: counter + scratch + param block
-    state = mem.alloc("incr_state", 64)
+    state, params_addr = increment_state(mem, "incr_state",
+                                         SERVER_TO_CLIENT_VCI)
     counter_addr = state.base
-    scratch_addr = state.base + 16
-    params_addr = state.base + 32
-    mem.store_u32(params_addr + PARAM_COUNTER, counter_addr)
-    mem.store_u32(params_addr + PARAM_REPLY_VCI, SERVER_TO_CLIENT_VCI)
-    mem.store_u32(params_addr + PARAM_SCRATCH, scratch_addr)
 
     if mode in ("ash", "ash-unsafe"):
         program = build_remote_increment()
         result.handler_insns = len(program)
         ash_id = sk.ash_system.download(
             program,
-            allowed_regions=[(state.base, 64)],
+            allowed_regions=[(state.base, state.size)],
             user_word=params_addr,
             sandbox=(mode == "ash"),
         )
@@ -603,13 +572,15 @@ def tcp_bulk_transfer(
     (``crash`` holds :meth:`~repro.sim.faults.FaultPlane.crash_node`'s
     keywords plus an optional ``"target"``, ``"server"`` by default or
     ``"client"``), then memory ``pressure`` and CPU ``contention`` on
-    the server.  ``mode`` installs a server fast path after accept.
+    the server.  ``mode`` (a :data:`FASTPATH_MODES` key) installs a
+    server fast path after accept.
     The client lingers to answer late retransmissions.
 
     Checks every byte arrived; returns ``(testbed, client, server,
     delivered, read_ps)`` where ``read_ps`` is the simulated time of
     the server's read.
     """
+    install = _fastpath(mode)
     tb = make_an2_pair(ncores=ncores)
     cstack, sstack = make_stacks(tb)
     client, server = tcp_pair(cstack, sstack, rto_us=20_000.0, sack=sack)
@@ -631,8 +602,7 @@ def tcp_bulk_transfer(
 
     def server_body(proc):
         yield from server.accept(proc)
-        if mode is not None:
-            server.install_fastpath(mode)
+        install(server)
         t0 = proc.engine.now
         got.append((yield from server.read(proc, nbytes)))
         elapsed.append(proc.engine.now - t0)
@@ -756,14 +726,10 @@ def canary_rollout(
     for i in range(flows):
         srv_ep = sk.create_endpoint_an2(tb.server_nic, 10 + i)
         cli_ep = ck.create_endpoint_an2(tb.client_nic, 100 + i)
-        state = mem.alloc(f"canary_state{i}", 64)
-        params_addr = state.base + 32
-        mem.store_u32(params_addr + PARAM_COUNTER, state.base)
-        mem.store_u32(params_addr + PARAM_REPLY_VCI, 100 + i)
-        mem.store_u32(params_addr + PARAM_SCRATCH, state.base + 16)
+        state, params_addr = increment_state(mem, f"canary_state{i}", 100 + i)
         v1_id = sk.ash_system.download(
             build_remote_increment(),
-            allowed_regions=[(state.base, 64)],
+            allowed_regions=[(state.base, state.size)],
             user_word=params_addr,
         )
         sk.ash_system.bind(srv_ep, v1_id)
@@ -948,17 +914,13 @@ def _am_flow(tb, manager, tenant: str, req_vci: int, reply_vci: int):
     """One AM remote-increment victim flow owned by ``tenant``: server
     endpoint + state block + v1 handler, client reply endpoint."""
     sk, ck = tb.server_kernel, tb.client_kernel
-    mem = tb.server.memory
     srv_ep = sk.create_endpoint_an2(tb.server_nic, req_vci, tenant=tenant)
     cli_ep = ck.create_endpoint_an2(tb.client_nic, reply_vci)
-    state = mem.alloc(f"tenant_{tenant}_state", 64)
-    params_addr = state.base + 32
-    mem.store_u32(params_addr + PARAM_COUNTER, state.base)
-    mem.store_u32(params_addr + PARAM_REPLY_VCI, reply_vci)
-    mem.store_u32(params_addr + PARAM_SCRATCH, state.base + 16)
+    state, params_addr = increment_state(
+        tb.server.memory, f"tenant_{tenant}_state", reply_vci)
     ash_id = manager.download(
         tenant, build_remote_increment(),
-        allowed_regions=[(state.base, 64)], user_word=params_addr)
+        allowed_regions=[(state.base, state.size)], user_word=params_addr)
     sk.ash_system.bind(srv_ep, ash_id)
     return srv_ep, cli_ep, state.base
 
@@ -998,6 +960,41 @@ def _install_abuse(tb, manager, scenario: str, perturbed: bool):
         plane.abortloop_tenant(manager, "mallory", every=1)
     else:
         raise ValueError(f"unknown tenant scenario {scenario!r}")
+
+
+def _tcp_victim(client_conn, server_conn, total_bytes: int):
+    """Spawn the tenancy worlds' victim TCP bulk flow: a byte pattern in
+    4 KB writes, hashed as it arrives in 8 KB reads.  Returns the
+    client's ``{"start", "end"}`` span and the receive hash."""
+    span = {}
+    rx_hash = hashlib.sha256()
+
+    def tcp_server(proc):
+        yield from server_conn.accept(proc)
+        remaining = total_bytes
+        while remaining:
+            data = yield from server_conn.read(proc, min(remaining, 8192))
+            if not data:
+                break
+            rx_hash.update(bytes(data))
+            remaining -= len(data)
+        yield from server_conn.write(proc, b"done")
+
+    def tcp_client(proc):
+        yield from client_conn.connect(proc)
+        payload = bytes(range(256)) * (total_bytes // 256)
+        span["start"] = proc.engine.now
+        sent = 0
+        while sent < total_bytes:
+            n = min(4096, total_bytes - sent)
+            yield from client_conn.write(proc, payload[sent:sent + n])
+            sent += n
+        yield from client_conn.read(proc, 4)
+        span["end"] = proc.engine.now
+
+    server_conn.kernel.spawn_process("tcp-server", tcp_server)
+    client_conn.kernel.spawn_process("tcp-client", tcp_client)
+    return span, rx_hash
 
 
 def _victim_slice(manager, name: str) -> dict:
@@ -1100,33 +1097,8 @@ def tenant_world(
             tb, manager, "bob", AM_VICTIM_VCI, AM_REPLY_VCI)
 
         total_bytes = 24 * 1024
-        rx_hash = hashlib.sha256()
-        tcp_span = {}
         bob_lat: list[float] = []
         bob_hash = hashlib.sha256()
-
-        def tcp_server(proc):
-            yield from server_conn.accept(proc)
-            remaining = total_bytes
-            while remaining:
-                data = yield from server_conn.read(proc, min(remaining, 8192))
-                if not data:
-                    break
-                rx_hash.update(bytes(data))
-                remaining -= len(data)
-            yield from server_conn.write(proc, b"done")
-
-        def tcp_client(proc):
-            yield from client_conn.connect(proc)
-            payload = bytes(range(256)) * (total_bytes // 256)
-            tcp_span["start"] = proc.engine.now
-            sent = 0
-            while sent < total_bytes:
-                n = min(4096, total_bytes - sent)
-                yield from client_conn.write(proc, payload[sent:sent + n])
-                sent += n
-            yield from client_conn.read(proc, 4)
-            tcp_span["end"] = proc.engine.now
 
         def bob_client(proc):
             for _ in range(rounds):
@@ -1146,8 +1118,7 @@ def tenant_world(
                     proc, tb.client_nic, Frame(agg_frame, vci=AGGRESSOR_VCI))
                 yield from proc.compute_us(140.0)
 
-        sk.spawn_process("tcp-server", tcp_server)
-        tcp_proc = ck.spawn_process("tcp-client", tcp_client)
+        tcp_span, rx_hash = _tcp_victim(client_conn, server_conn, total_bytes)
         bob_proc = ck.spawn_process("bob-client", bob_client)
         bob_cli.owner = bob_proc
         ck.spawn_process("mallory-client", aggressor_client)
@@ -1252,7 +1223,7 @@ def tenant_noisy_neighbor(
     from ..ash.tenancy import TenantManager
 
     tb = make_an2_pair(cal, ncores=ncores)
-    sk, ck = tb.server_kernel, tb.client_kernel
+    sk = tb.server_kernel
     manager = None
     if protected:
         manager = TenantManager(sk)
@@ -1284,34 +1255,7 @@ def tenant_noisy_neighbor(
             start_us=50.0, gap_us=1e6 / intensity_fps)
 
     total_bytes = total_kb * 1024
-    span = {}
-    rx_hash = hashlib.sha256()
-
-    def tcp_server(proc):
-        yield from server_conn.accept(proc)
-        remaining = total_bytes
-        while remaining:
-            data = yield from server_conn.read(proc, min(remaining, 8192))
-            if not data:
-                break
-            rx_hash.update(bytes(data))
-            remaining -= len(data)
-        yield from server_conn.write(proc, b"done")
-
-    def tcp_client(proc):
-        yield from client_conn.connect(proc)
-        payload = bytes(range(256)) * (total_bytes // 256)
-        span["start"] = proc.engine.now
-        sent = 0
-        while sent < total_bytes:
-            n = min(4096, total_bytes - sent)
-            yield from client_conn.write(proc, payload[sent:sent + n])
-            sent += n
-        yield from client_conn.read(proc, 4)
-        span["end"] = proc.engine.now
-
-    sk.spawn_process("tcp-server", tcp_server)
-    ck.spawn_process("tcp-client", tcp_client)
+    span, rx_hash = _tcp_victim(client_conn, server_conn, total_bytes)
     tb.run()
     if "end" not in span:
         raise RuntimeError("tenant_noisy_neighbor: victim transfer stalled")

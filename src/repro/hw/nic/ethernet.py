@@ -43,12 +43,11 @@ class EthernetNic(Nic):
     medium = "ethernet"
 
     #: ring depth: LANCE-class controllers had a handful of buffers
-    DEFAULT_RING = 8
+    ring_slots = 8
 
-    def __init__(self, engine, cal, memory, name: str = "eth",
-                 ring_slots: int = DEFAULT_RING):
+    def __init__(self, engine, cal, memory, name: str = "eth"):
         super().__init__(engine, cal, memory, name)
-        self.ring_slots = ring_slots
+        ring_slots = self.ring_slots
         # Each slot must hold a striped MTU frame: 2x the payload bytes.
         slot_size = 2 * cal.eth_mtu + 2 * STRIPE_CHUNK
         self._slot_size = slot_size

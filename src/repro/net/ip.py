@@ -25,7 +25,6 @@ def build_packets(
     payload: bytes,
     mtu: int,
     ident: int = 0,
-    ttl: int = 64,
 ) -> list[bytes]:
     """Encapsulate ``payload``; fragments if it exceeds the MTU.
 
@@ -39,7 +38,7 @@ def build_packets(
         header = Ipv4Header(
             src=src, dst=dst, proto=proto,
             total_length=Ipv4Header.SIZE + len(payload),
-            ident=ident, ttl=ttl,
+            ident=ident,
         )
         return [header.pack() + payload]
 
@@ -54,7 +53,7 @@ def build_packets(
         header = Ipv4Header(
             src=src, dst=dst, proto=proto,
             total_length=Ipv4Header.SIZE + len(chunk),
-            ident=ident, ttl=ttl,
+            ident=ident,
             flags=0 if last else Ipv4Header.MF,
             frag_offset=offset // 8,
         )

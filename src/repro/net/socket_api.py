@@ -1,15 +1,18 @@
-"""A small socket-style veneer over the TCP/UDP libraries.
+"""Socket-style veneer and session builders for the two-node testbed.
 
 The protocol libraries expose the paper's experiment knobs directly;
 applications (the examples, HTTP, NFS) prefer a plainer read/write
-interface.  ``TcpSocket`` wraps a connection; :func:`tcp_pair` builds a
-matched client/server connection pair over a two-node testbed, which is
-the configuration every example uses.
+interface, which ``TcpSocket`` gives a connection.  This module also
+owns the testbed's addressing: :func:`make_stacks` builds the
+client/server :class:`NetStack` pair on either fabric (per-flow virtual
+circuits on the AN2, fixed MACs on the Ethernet) and :func:`tcp_pair`
+builds a matched connection pair over them; the paper workloads and
+the multi-flow benches build their sessions with these two.
 """
 
 from __future__ import annotations
 
-from typing import Generator, TYPE_CHECKING
+from typing import Generator, Optional, TYPE_CHECKING
 
 from ..bench.testbed import Testbed
 from .stack import NetStack
@@ -18,7 +21,7 @@ from .tcp import TcpConnection
 if TYPE_CHECKING:  # pragma: no cover
     from ..kernel.process import Process
 
-__all__ = ["TcpSocket", "make_stacks", "tcp_pair"]
+__all__ = ["TcpSocket", "flow_vcis", "make_stacks", "tcp_pair"]
 
 
 class TcpSocket:
@@ -56,14 +59,29 @@ class TcpSocket:
         yield from self.conn.close(proc)
 
 
+def flow_vcis(flow: int) -> tuple[int, int]:
+    """The AN2 circuits of flow ``flow``: (client->server, server->client).
+    Flow 0 uses the testbed's conventional circuits 1 and 2."""
+    return 2 * flow + 1, 2 * flow + 2
+
+
 def make_stacks(tb: Testbed, client_ip: str = "10.0.0.1",
-                server_ip: str = "10.0.0.2") -> tuple[NetStack, NetStack]:
-    """Standard AN2 stacks for a testbed: circuits 1 (c->s) and 2 (s->c)."""
-    cstack = NetStack(tb.client_kernel, tb.client_nic, client_ip,
-                      an2_peers={server_ip: (1, 2)})
-    sstack = NetStack(tb.server_kernel, tb.server_nic, server_ip,
-                      an2_peers={client_ip: (2, 1)})
-    return cstack, sstack
+                server_ip: str = "10.0.0.2",
+                flow: int = 0) -> tuple[NetStack, NetStack]:
+    """The (client, server) stacks of a testbed, on either fabric.
+
+    Each stack gets the testbed's MAC and a peer map holding the AN2
+    circuits of ``flow`` (:func:`flow_vcis`); a :class:`NetStack` uses
+    the one its NIC needs.  So the Ethernet pair demultiplexes through
+    DPF filters and ignores ``flow``.
+    """
+    c2s, s2c = flow_vcis(flow)
+    return (NetStack(tb.client_kernel, tb.client_nic, client_ip,
+                     mac=b"\x02\x00\x00\x00\x00\x01",
+                     an2_peers={server_ip: (c2s, s2c)}),
+            NetStack(tb.server_kernel, tb.server_nic, server_ip,
+                     mac=b"\x02\x00\x00\x00\x00\x02",
+                     an2_peers={client_ip: (s2c, c2s)}))
 
 
 def tcp_pair(
@@ -73,15 +91,22 @@ def tcp_pair(
     client_port: int = 5000,
     **conn_kwargs,
 ) -> tuple[TcpConnection, TcpConnection]:
-    """A matched (client, server) connection pair over the AN2 stacks."""
-    server_ip = sstack.ip
-    client_ip = cstack.ip
+    """A matched (client, server) connection pair over two stacks from
+    :func:`make_stacks`; on the AN2 each side receives on the circuit
+    its peer map names."""
     client = TcpConnection(
-        cstack, client_port, server_ip, server_port, rx_vci=2, iss=1000,
+        cstack, client_port, sstack.ip, server_port,
+        rx_vci=_rx_vci(cstack, sstack), iss=1000,
         name=f"c{client_port}", **conn_kwargs,
     )
     server = TcpConnection(
-        sstack, server_port, client_ip, client_port, rx_vci=1, iss=7000,
+        sstack, server_port, cstack.ip, client_port,
+        rx_vci=_rx_vci(sstack, cstack), iss=7000,
         name=f"s{server_port}", **conn_kwargs,
     )
     return client, server
+
+
+def _rx_vci(stack: NetStack, peer: NetStack) -> Optional[int]:
+    """The circuit ``peer`` reaches ``stack`` on (None on the Ethernet)."""
+    return stack.rx_vci(peer.ip) if stack.is_an2 else None

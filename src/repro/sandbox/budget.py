@@ -67,14 +67,13 @@ def budget_cycles(cal: Calibration) -> int:
 FORCED_ABORT_CYCLES = 8
 
 
-def forced_abort_budget(cal: Calibration,
-                        cycles: int = FORCED_ABORT_CYCLES) -> int:
+def forced_abort_budget(cal: Calibration) -> int:
     """A deliberately tiny cycle budget used by fault injection to force
     an involuntary abort *mid-handler* — the paper's two-clock-tick timer
     expiry, made to fire early and deterministically.  Clamped strictly
     below the real budget so the abort accounting is always the
     involuntary-abort path."""
-    return max(1, min(cycles, budget_cycles(cal) - 1))
+    return max(1, min(FORCED_ABORT_CYCLES, budget_cycles(cal) - 1))
 
 
 @dataclass

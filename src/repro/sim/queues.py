@@ -293,10 +293,10 @@ class TimerWheel:
             del self._live[key]
         self.fired += len(fired)
 
-    def after(self, delay: int, value: Any = None) -> "Timeout":
+    def after(self, delay: int) -> "Timeout":
         """Arm a timeout ``delay`` ticks from now."""
         self._prune()
-        timeout = self.engine.timeout(delay, value)
+        timeout = self.engine.timeout(delay)
         self._live[id(timeout)] = timeout
         self.armed += 1
         return timeout

@@ -12,8 +12,7 @@ a diff of these files.
 
 The first records were captured while a second, heap-queue event
 engine still ran every one of these worlds, with both engines
-asserted to agree; several test names still mention "substrates"
-for that reason.
+asserted to agree.
 """
 
 from __future__ import annotations

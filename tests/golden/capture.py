@@ -25,7 +25,11 @@ sys.path[:0] = [REPO_ROOT, os.path.join(REPO_ROOT, "src")]
 
 from repro.bench.workloads import TENANT_SCENARIOS  # noqa: E402
 from tests import golden, load_bench_script  # noqa: E402
-from tests.test_determinism import scale_record, scale_world  # noqa: E402
+from tests.test_determinism import (  # noqa: E402
+    fairness_record,
+    scale_record,
+    scale_world,
+)
 from tests.test_faults import (  # noqa: E402
     CHAOS_WORLDS,
     CRASH_WORLDS,
@@ -71,6 +75,7 @@ GOLDENS = {
     "tenancy": lambda: {s: tenant_record(s) for s in TENANT_SCENARIOS},
     "canary": lambda: {"divergent_crash": canary_crash_record()},
     "sweep_smoke": sweep_smoke,
+    "fairness": lambda: {"flows8_bytes24000": fairness_record()},
 }
 
 

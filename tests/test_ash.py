@@ -3,17 +3,14 @@
 import pytest
 
 from repro.ash.examples import (
-    PARAM_COUNTER,
     PARAM_NSEGS,
     PARAM_REPLY_VCI,
-    PARAM_SCRATCH,
     PARAM_TABLE,
-    RW_DATA,
-    RWS_DATA,
     build_echo,
     build_remote_increment,
     build_remote_write_generic,
     build_remote_write_specific,
+    increment_state,
 )
 from repro.ash.handler import AshBuilder
 from repro.bench.testbed import (
@@ -23,7 +20,7 @@ from repro.bench.testbed import (
 )
 from repro.errors import VcodeError
 from repro.hw.link import Frame
-from repro.pipes import PIPE_WRITE, compile_pl, mk_cksum_pipe, pipel
+from repro.pipes import PIPE_WRITE, compile_pl, pipel
 from repro.sim.units import to_us
 
 
@@ -38,22 +35,16 @@ def an2_with_server_ep(**server_opts):
 def setup_increment(tb, ep, sandbox=True):
     """Install the remote-increment ASH on the server; returns
     (ash_id, counter_addr)."""
-    mem = tb.server.memory
-    state = mem.alloc("incr_state", 64)
-    counter_addr = state.base
-    scratch_addr = state.base + 16
-    params_addr = state.base + 32
-    mem.store_u32(params_addr + PARAM_COUNTER, counter_addr)
-    mem.store_u32(params_addr + PARAM_REPLY_VCI, SERVER_TO_CLIENT_VCI)
-    mem.store_u32(params_addr + PARAM_SCRATCH, scratch_addr)
+    state, params = increment_state(tb.server.memory, "incr_state",
+                                    SERVER_TO_CLIENT_VCI)
     ash_id = tb.server_kernel.ash_system.download(
         build_remote_increment(),
-        allowed_regions=[(state.base, 64)],
-        user_word=params_addr,
+        allowed_regions=[(state.base, state.size)],
+        user_word=params,
         sandbox=sandbox,
     )
     tb.server_kernel.ash_system.bind(ep, ash_id)
-    return ash_id, counter_addr
+    return ash_id, state.base
 
 
 class TestEchoAsh:

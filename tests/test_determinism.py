@@ -25,7 +25,13 @@ sys.path.insert(0, os.path.join(
     "benchmarks",
 ))
 
+from bench_fairness import run_fairness  # noqa: E402
 from bench_scale import ScaleWorld, bench  # noqa: E402
+
+RESULTS_DIR = os.path.join(
+    os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+    "benchmarks", "results",
+)
 
 
 def test_raw_latency_bitwise_repeatable():
@@ -76,6 +82,20 @@ def test_calibration_change_actually_changes_results():
         cal=Calibration(an2_hw_oneway_us=96.0), iters=4, warmup=1
     )
     assert slower > base + 90.0  # ~2x the one-way hardware latency
+
+
+def test_table2_ethernet_row_matches_committed_results():
+    """Table II's Ethernet row — UDP and TCP over the DPF-demultiplexed
+    10 Mb/s Ethernet — equals the committed benchmark result exactly."""
+    with open(os.path.join(RESULTS_DIR, "table2_udp_tcp.json")) as fh:
+        rows = {r["label"]: r for r in json.load(fh)["rows"]}
+    want = rows["Ethernet; with checksum"]
+    eth = TcpConfig(eth=True)
+    assert W.udp_pingpong(eth=True) == want["UDP lat"]
+    assert W.udp_train_throughput(eth=True) == want["UDP tput"]
+    assert W.tcp_pingpong(config=eth) == want["TCP lat"]
+    assert W.tcp_stream_throughput(
+        config=eth, total_bytes=512 * 1024) == want["TCP tput"]
 
 
 # -- golden scale worlds ----------------------------------------------------
@@ -155,6 +175,20 @@ def test_scale_bench_smoke():
     assert out["configs"][0]["packets"] > 0
     assert out["configs"][0]["events_per_packet"] > 0
     assert out["configs"][0]["sim_elapsed_us"] > 0
+
+
+def fairness_record() -> dict:
+    """Golden record of the quick fairness config: 8 bulk TCP flows of
+    24000 bytes sharing one AN2 link."""
+    r = run_fairness(8, 24_000)
+    return golden.record(r, jain_index=r["jain_index"],
+                         goodput_mbps=r["goodput_mbps"])
+
+
+def test_fairness_world_matches_golden():
+    """Per-flow digests, virtual times, retransmits and congestion
+    digests of the shared-link fairness world match the golden."""
+    golden.check("fairness", "flows8_bytes24000", fairness_record())
 
 
 @pytest.mark.slow

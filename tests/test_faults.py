@@ -23,7 +23,6 @@ from repro.bench.workloads import tcp_bulk_transfer
 from repro.hw.link import Frame
 from repro.kernel.upcall import UpcallHandler
 from repro.net.socket_api import make_stacks, tcp_pair
-from repro.net.stack import NetStack
 from repro.net.udp import UdpSocket
 from repro.sim.engine import Engine
 from tests import golden
@@ -163,10 +162,7 @@ class TestNicStress:
         """Truncated frames surface as malformed-and-dropped; intact
         datagrams keep flowing."""
         tb = make_an2_pair()
-        cstack = NetStack(tb.client_kernel, tb.client_nic, "10.0.0.1",
-                          an2_peers={"10.0.0.2": (1, 2)})
-        sstack = NetStack(tb.server_kernel, tb.server_nic, "10.0.0.2",
-                          an2_peers={"10.0.0.1": (2, 1)})
+        cstack, sstack = make_stacks(tb)
         csock = UdpSocket(cstack, 7001, rx_vci=2)
         ssock = UdpSocket(sstack, 7000, rx_vci=1)
         plane = tb.attach_fault_plane(seed=9)

@@ -104,7 +104,7 @@ class TestCanaryVerdicts:
 
     @pytest.mark.parametrize("v2,expected", [
         ("divergent", "rolled_back"), ("identical", "promoted")])
-    def test_verdicts_bit_identical_across_substrates_and_cores(
+    def test_verdicts_identical_across_cores(
             self, v2, expected):
         """The acceptance bar: both rollout outcomes byte-identical at
         1/2/4-core SMP."""

@@ -4,6 +4,7 @@ and the ASH/upcall fast path."""
 import pytest
 
 from repro.bench.testbed import make_an2_pair
+from repro.bench.workloads import TcpConfig, tcp_bulk_transfer, tcp_pingpong
 from repro.net.socket_api import make_stacks, tcp_pair
 from repro.net.tcp import TcpState
 from repro.sim.units import to_us
@@ -518,6 +519,22 @@ class TestFastPath:
         run_session(tb, client, server, c, s)
         assert got and got[0] == data
         assert server.fastpath_hits > 0
+
+    @pytest.mark.parametrize("mode,sandboxed", [
+        ("ash", True), ("ash-unsafe", False),
+    ])
+    def test_bulk_transfer_mode_selects_sandbox(self, mode, sandboxed):
+        """``tcp_bulk_transfer(mode=)`` takes the Table VI column names."""
+        *_, server, _delivered, _ps = tcp_bulk_transfer(5, 16_000, mode=mode)
+        entry = server.kernel.ash_system.entry(server.fastpath_ash_id)
+        assert server.handler_mode == "ash" and server.fastpath_hits > 0
+        assert (entry.report is not None) == sandboxed
+
+    def test_unknown_fastpath_mode_rejected_before_running(self):
+        with pytest.raises(ValueError, match="unknown fast-path mode"):
+            tcp_bulk_transfer(5, 1_000, mode="ash-safe")
+        with pytest.raises(ValueError, match="unknown fast-path mode"):
+            tcp_pingpong(config=TcpConfig(handler="ash-safe"))
 
     def test_fastpath_abort_rate_low(self):
         """Section V-B: non-header-prediction aborts < 0.2%."""

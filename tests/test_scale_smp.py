@@ -20,11 +20,10 @@ from repro.hw.link import Frame, Link
 from repro.hw.nic import An2Nic, RssDispatcher, flow_key, fnv1a32
 from repro.hw.nic.base import RxDescriptor
 from repro.hw.node import Node
-from repro.net.stack import NetStack
+from repro.net.socket_api import make_stacks
 from repro.net.udp import UdpSocket
 from repro.sim.engine import DEFAULT_TIMER_HORIZON_US, Engine
 from repro.sim.queues import CalendarQueue
-from repro.sim.units import CYCLE_PS
 from tests import golden
 from tests.test_determinism import scale_record, scale_world
 
@@ -101,10 +100,7 @@ def test_rss_dispatcher_is_pluggable_like_a_dpf_filter():
     tb.server_nic.set_rss(AllToLast(1))  # rebind re-homes it to 4 cores
     assert tb.server_nic.rss.ncores == 4
 
-    cstack = NetStack(tb.client_kernel, tb.client_nic, "10.0.0.1",
-                      an2_peers={"10.0.0.2": (1, 2)})
-    sstack = NetStack(tb.server_kernel, tb.server_nic, "10.0.0.2",
-                      an2_peers={"10.0.0.1": (2, 1)})
+    cstack, sstack = make_stacks(tb)
     csock = UdpSocket(cstack, 7001, rx_vci=2, name="c")
     ssock = UdpSocket(sstack, 7001, rx_vci=1, name="s")
     server_ip = sstack.ip
@@ -135,7 +131,7 @@ def smp_world(cores):
 
 
 @pytest.mark.parametrize("cores", [1, 2, 4])
-def test_smp_substrates_produce_identical_observables(cores):
+def test_smp_world_matches_golden(cores):
     """The tentpole invariant: RSS + per-core rings + batching keep the
     world on its golden digest at every core count."""
     golden.check("scale", f"smp{cores}", scale_record(smp_world(cores)))
@@ -156,7 +152,7 @@ def smp_lossy_cc(cores):
 
 
 @pytest.mark.parametrize("cores", [1, 2, 4])
-def test_congestion_evolution_substrate_identical_under_smp(cores):
+def test_congestion_evolution_under_smp_matches_golden(cores):
     """cwnd/ssthresh evolution (every grow, recovery, RTO and backoff
     event, timestamped) and SACK behaviour stay on their golden with
     RSS + per-core rings in the path."""
@@ -214,10 +210,7 @@ def test_batched_handoff_telemetry_and_ring_peaks():
     tb = make_an2_pair(engine=engine, ncores=2, rx_batch=4)
     for node in (tb.client, tb.server):
         node.telemetry.enable()
-    cstack = NetStack(tb.client_kernel, tb.client_nic, "10.0.0.1",
-                      an2_peers={"10.0.0.2": (1, 2)})
-    sstack = NetStack(tb.server_kernel, tb.server_nic, "10.0.0.2",
-                      an2_peers={"10.0.0.1": (2, 1)})
+    cstack, sstack = make_stacks(tb)
     csock = UdpSocket(cstack, 7001, rx_vci=2, name="c")
     ssock = UdpSocket(sstack, 7001, rx_vci=1, name="s")
     server_ip = sstack.ip

@@ -237,7 +237,7 @@ def cc_record(impair: dict) -> dict:
 
 
 @pytest.mark.parametrize("impair", CC_IMPAIRMENTS)
-def test_congestion_digest_substrate_identical(impair):
+def test_congestion_digest_matches_golden(impair):
     """The cwnd/ssthresh evolution — every grow, fast-recovery,
     RTO and backoff event with its virtual timestamp — matches the
     golden."""

@@ -5,12 +5,7 @@ import json
 import pytest
 
 from repro import telemetry
-from repro.ash.examples import (
-    PARAM_COUNTER,
-    PARAM_REPLY_VCI,
-    PARAM_SCRATCH,
-    build_remote_increment,
-)
+from repro.ash.examples import build_remote_increment, increment_state
 from repro.bench.testbed import (
     CLIENT_TO_SERVER_VCI,
     SERVER_TO_CLIENT_VCI,
@@ -162,15 +157,12 @@ class TestAshCycleAccounting:
             node.telemetry.enable()
         sk = tb.server_kernel
         ep = sk.create_endpoint_an2(tb.server_nic, CLIENT_TO_SERVER_VCI)
-        mem = tb.server.memory
-        state = mem.alloc("incr_state", 64)
-        mem.store_u32(state.base + 32 + PARAM_COUNTER, state.base)
-        mem.store_u32(state.base + 32 + PARAM_REPLY_VCI, SERVER_TO_CLIENT_VCI)
-        mem.store_u32(state.base + 32 + PARAM_SCRATCH, state.base + 16)
+        state, params = increment_state(tb.server.memory, "incr_state",
+                                        SERVER_TO_CLIENT_VCI)
         ash_id = sk.ash_system.download(
             build_remote_increment(),
-            allowed_regions=[(state.base, 64)],
-            user_word=state.base + 32,
+            allowed_regions=[(state.base, state.size)],
+            user_word=params,
         )
         sk.ash_system.bind(ep, ash_id)
         cli_ep = tb.client_kernel.create_endpoint_an2(

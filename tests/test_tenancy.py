@@ -343,7 +343,7 @@ def tenant_record(scenario: str) -> dict:
 
 
 @pytest.mark.parametrize("scenario", TENANT_SCENARIOS)
-def test_victim_observables_substrate_identical(scenario):
+def test_victim_observables_match_golden(scenario):
     """The perturbed world itself is deterministic: victims and the
     fault ledger match the golden bit for bit."""
     golden.check("tenancy", scenario, tenant_record(scenario))
